@@ -2,7 +2,7 @@
 
 One cell starts a durable 2-shard cluster behind a real
 :class:`~repro.server.router.ShardRouter`, drives the experiment's
-seeded key stream through ``concurrency`` v2 clients, and — while the
+seeded key stream through ``concurrency`` clients, and — while the
 writers are still running — splits the hottest shard online and then
 merges a shard back (:class:`~repro.server.migrate.ShardMigrator`).
 The epoch bumps mid-traffic, so the in-flight clients absorb
@@ -301,6 +301,6 @@ def migration_loss_failures(results: Sequence[Mapping]) -> list[str]:
             failures.append(
                 f"{label}: {m['migration_write_failures']} write(s) failed "
                 "outright during the rebalance — cutover must be "
-                "transparent to v2 clients"
+                "transparent to clients"
             )
     return failures

@@ -32,14 +32,13 @@ Four rules, each guarding an invariant the runtime sanitizer cannot see:
   and the latch discipline holds; a session or handler mutating the
   index directly races the aggregator's batches and splits commits.
 * **REP107 hot-path-json** — calling ``json.dumps`` / ``json.loads``
-  (or their file-object forms) from service-layer code outside the two
-  modules that own the textual fallback: ``server/protocol.py`` (the
-  v1/v2 frame body and negotiation) and ``server/binpayload.py`` (the
-  v3 JSON escape hatch).  The binary fast path exists so that no hot
-  request pays a JSON round-trip; a stray ``json.*`` call in a session,
-  aggregator, router or client quietly reintroduces the cost the v3
-  negotiation removed.  ``server/shard.py`` is also exempt: its JSON is
-  the on-disk topology file, written once per topology change — an
+  (or their file-object forms) from service-layer code.  Wire payloads
+  are binary (``server/binpayload.py``), so no request pays a JSON
+  round-trip; a stray ``json.*`` call in the protocol, a session, the
+  aggregator, router or client quietly reintroduces that cost.  Two
+  modules are exempt: ``server/binpayload.py`` for the migration
+  digest's canonical record blob, and ``server/shard.py``, whose JSON
+  is the on-disk topology file, written once per topology change — an
   administrative cold path, not wire traffic.
 * **REP108 replica-mutation** — follower code (``server/replica.py``)
   calling an index mutator (``insert`` / ``delete`` / ``*_many``), a
@@ -74,12 +73,11 @@ BACKEND_ALLOWED = ("storage/disk.py", "storage/wal.py")
 #: that the *receiving* worker routes through its own aggregator.
 SERVER_MUTATION_ALLOWED = ("server/aggregator.py", "server/migrate.py")
 
-#: Service-layer files allowed to call ``json.*``: the protocol module
-#: (v1/v2 frame bodies and version negotiation), the payload codec's
-#: JSON escape hatch, and the shard manager (whose JSON is the on-disk
-#: topology file — administrative cold path, not per-op wire traffic).
+#: Service-layer files allowed to call ``json.*``: the payload codec
+#: (the migration digest's canonical record blob, never wire traffic)
+#: and the shard manager (whose JSON is the on-disk topology file —
+#: administrative cold path, not per-op wire traffic).
 SERVER_JSON_ALLOWED = (
-    "server/protocol.py",
     "server/binpayload.py",
     "server/shard.py",
 )
@@ -250,10 +248,8 @@ class _Linter(ast.NodeVisitor):
                 self._issue(
                     node,
                     "REP107",
-                    f"json.{name}() on the service hot path — binary "
-                    "payloads (server/binpayload.py) carry v3 traffic; "
-                    "JSON belongs only in protocol.py's v1/v2 fallback "
-                    "and negotiation",
+                    f"json.{name}() on the service hot path — wire "
+                    "payloads are binary (server/binpayload.py)",
                 )
         self.generic_visit(node)
 
@@ -387,7 +383,7 @@ def lint_paths(paths: Sequence[str | Path] | None = None) -> list[LintIssue]:
     Rule scoping: REP101 everywhere except the accounting layer itself;
     REP104 only under ``core/``; REP102/REP103 everywhere; REP106 under
     ``server/`` except the write aggregator; REP107 under ``server/``
-    except the protocol/payload codecs and the topology file; REP108
+    except the digest blob codec and the topology file; REP108
     only in ``server/replica.py`` (the follower code path).
     """
     roots = [Path(p) for p in paths] if paths else [repo_source_root()]

@@ -280,12 +280,7 @@ class WriteAggregator:
             single = False
             ops = [("put", key, value) for key, value in pairs]
         elif opcode == Opcode.DELETE_MANY:
-            keys = protocol.field(payload, "keys", list)
-            for key in keys:
-                if not isinstance(key, list):
-                    raise ProtocolError(
-                        "keys must be [key, ...]", code="bad-payload"
-                    )
+            keys = protocol.keys_field(payload)
 
             def apply() -> Any:
                 return {"values": file.delete_many(keys)}

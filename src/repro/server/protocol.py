@@ -1,42 +1,38 @@
-"""The wire protocol: length-prefixed, versioned binary frames.
+"""The wire protocol: length-prefixed binary frames, one layout.
 
-Version 1 frame layout (all integers little-endian)::
+Frame layout (all integers little-endian)::
 
     u32  body length                  (frame = 4-byte prefix + body)
-    u8   protocol version             (1)
+    u8   protocol version             (3)
     u8   opcode                       (Opcode)
     u32  request id                   (client-chosen; echoed in replies)
-    ...  payload                      (UTF-8 JSON, possibly empty)
-
-Version 2 inserts a topology epoch between the request id and the
-payload::
-
-    u32  body length
-    u8   protocol version             (2)
-    u8   opcode
-    u32  request id
     u32  topology epoch               (0 = "not asserting an epoch")
-    ...  payload
+    ...  payload                      (format byte 0x02 + binval, or empty)
+
+The payload, when present, is the tagged binary encoding of
+:mod:`repro.server.binpayload` behind its ``0x02`` format byte.  Any
+other version byte is answered with ``bad-version`` and any other
+format byte with ``bad-payload``; both are well-framed, so the stream
+continues.
 
 The epoch is the sharding layer's staleness fence: a
 :class:`~repro.server.router.ShardRouter` stamps every reply with its
-current topology epoch, and a v2 client echoes the last epoch it saw on
+current topology epoch, and a client echoes the last epoch it saw on
 each data request.  A request carrying a stale non-zero epoch is
 rejected with ``stale-topology`` — the error reply's header already
 carries the new epoch, so the client refreshes and retries without a
 round trip.  Servers that do not shard (a plain ``QueryServer``) run at
-epoch 0 and never reject.  Both endpoints speak both versions; the
-:func:`negotiated_version` helper picks the highest shared one from a
-``PING`` reply's ``versions`` list.
+epoch 0 and never reject.
 
 The length prefix counts the body (version byte onward) and is capped at
 :data:`MAX_FRAME`; a larger claim is rejected before any allocation — a
-garbage prefix must never buffer gigabytes.  Requests and replies share
-the layout; a reply echoes the request id and carries either
-:attr:`Opcode.REPLY_OK` with a result object or :attr:`Opcode.REPLY_ERR`
-with a structured ``{"code", "message"}`` payload.  JSON keeps the
-payloads debuggable and covers every value the
-:class:`~repro.encoding.KeyCodec` attribute types round-trip through.
+garbage prefix must never buffer gigabytes.  A ``PING`` reply advertises
+``max_frame``, the peer's frame-body cap; a client that negotiates
+adopts it in both directions (:func:`negotiated_max_frame`).  Requests
+and replies share the layout; a reply echoes the request id and carries
+either :attr:`Opcode.REPLY_OK` with a result object or
+:attr:`Opcode.REPLY_ERR` with a structured ``{"code", "message"}``
+payload.
 
 Pipelining: a client may send any number of frames before reading
 replies (bounded by the server's per-session limit); replies may arrive
@@ -51,16 +47,6 @@ never fatal, never queued unboundedly on the server.  ``shard-down``
 and ``stale-topology`` are the routing layer's structured failures:
 the first is a dead upstream surfaced instead of a hang, the second is
 handled transparently by the client as described above.
-
-Version 3 keeps the v2 header and replaces the payload *encoding*: the
-body after the header starts with a format byte — ``0x02`` for the
-tagged binary encoding of :mod:`repro.server.binpayload`, ``0x01`` for
-the JSON fallback — so the hot operations stop paying
-``json.dumps``/``loads`` per frame while anything the binary codec
-cannot carry still travels as JSON.  A ``PING`` reply additionally
-advertises ``max_frame``, the server's frame-body cap; after
-negotiation both endpoints frame and accept bodies up to that size
-instead of the default :data:`MAX_FRAME`.
 """
 
 from __future__ import annotations
@@ -68,7 +54,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import enum
-import json
 import struct
 from typing import Any
 
@@ -89,12 +74,8 @@ from repro.errors import (
 # from this module.
 from repro.server import binpayload
 
-PROTOCOL_VERSION = 1
-#: Highest protocol version this build speaks (v2 adds the epoch field
-#: and the TOPOLOGY/ROUTE opcodes; v3 adds binary payload bodies).
-PROTOCOL_VERSION_MAX = 3
-#: Every version both endpoints of this build can frame.
-SUPPORTED_VERSIONS: tuple[int, ...] = (1, 2, 3)
+#: The version byte every frame carries.
+PROTOCOL_VERSION = 3
 #: Default cap on a frame body; larger length prefixes are garbage.
 #: Endpoints may negotiate a different cap (the server's ``max_frame``
 #: config, advertised in its PING reply) — every framing entry point
@@ -102,8 +83,7 @@ SUPPORTED_VERSIONS: tuple[int, ...] = (1, 2, 3)
 MAX_FRAME = 1 << 20
 
 _LEN = struct.Struct("<I")
-_HEAD = struct.Struct("<BBI")  # v1: version, opcode, request id
-_HEAD2 = struct.Struct("<BBII")  # v2: version, opcode, request id, epoch
+_HEAD = struct.Struct("<BBII")  # version, opcode, request id, epoch
 _ID_LIMIT = 1 << 32  # request ids and epochs are u32 on the wire
 
 
@@ -122,7 +102,7 @@ class Opcode(enum.IntEnum):
     TOPOLOGY = 10
     ROUTE = 11
     MIGRATE = 12
-    #: Replication stream control (v3): ``hello`` attaches a WAL tap
+    #: Replication stream control: ``hello`` attaches a WAL tap
     #: and reports the checkpoint size, ``checkpoint`` pages committed
     #: images to a bootstrapping follower, ``tail`` drains committed
     #: batches, ``bye`` detaches.  Read-side: never enters the write
@@ -183,35 +163,23 @@ def encode_frame(
     request_id: int,
     payload: Any = None,
     *,
-    version: int = PROTOCOL_VERSION,
     epoch: int = 0,
     max_frame: int | None = None,
 ) -> bytes:
     """Serialize one frame (length prefix included).
 
-    ``version=1`` produces the legacy header; ``version=2`` appends the
-    topology ``epoch``; ``version=3`` keeps the v2 header and encodes
-    the payload through :mod:`repro.server.binpayload`.  Request ids
-    and epochs must fit ``u32``.  ``max_frame`` overrides the default
-    body cap when the endpoints negotiated one.
+    Request ids and epochs must fit ``u32``.  ``max_frame`` overrides
+    the default body cap when the endpoints negotiated one.  A payload
+    outside the binary codec's universe raises
+    :class:`~repro.errors.SerializationError`.
     """
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(
-            f"cannot encode protocol version {version}", code="bad-version"
-        )
     if not 0 <= request_id < _ID_LIMIT:
         raise ProtocolError(
             f"request id {request_id} outside [0, 2^32)", code="bad-frame"
         )
-    if version == 1:
-        body = _HEAD.pack(version, opcode, request_id)
-    else:
-        body = _HEAD2.pack(version, opcode, request_id, epoch % _ID_LIMIT)
+    body = _HEAD.pack(PROTOCOL_VERSION, opcode, request_id, epoch % _ID_LIMIT)
     if payload is not None:
-        if version >= 3:
-            body += binpayload.encode_payload(payload)
-        else:
-            body += json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        body += binpayload.encode_payload(payload)
     limit = MAX_FRAME if max_frame is None else max_frame
     if len(body) > limit:
         raise ProtocolError(
@@ -227,7 +195,6 @@ def encode_error(
     code: str,
     message: str,
     *,
-    version: int = PROTOCOL_VERSION,
     epoch: int = 0,
     max_frame: int | None = None,
 ) -> bytes:
@@ -236,7 +203,6 @@ def encode_error(
         Opcode.REPLY_ERR,
         request_id,
         {"code": code, "message": message},
-        version=version,
         epoch=epoch,
         max_frame=max_frame,
     )
@@ -246,7 +212,6 @@ def encode_error(
 class Frame:
     """One decoded frame body."""
 
-    version: int
     opcode: int
     request_id: int
     payload: Any
@@ -254,80 +219,42 @@ class Frame:
 
 
 def decode_frame(body: bytes) -> Frame:
-    """Parse a frame body of any supported version.
+    """Parse a frame body.
 
     Raises :class:`~repro.errors.ProtocolError` (with a structured code)
-    on a truncated header, an unknown version, or an undecodable
-    payload.  An unknown-but-well-formed opcode is returned as-is — the
-    dispatcher replies ``bad-opcode`` at the request level, keeping the
-    stream usable.
+    on a truncated header, a version byte other than
+    :data:`PROTOCOL_VERSION`, or an undecodable payload.  An
+    unknown-but-well-formed opcode is returned as-is — the dispatcher
+    replies ``bad-opcode`` at the request level, keeping the stream
+    usable.
     """
     if len(body) < 1:
         raise ProtocolError("empty frame body", code="bad-frame")
     version = body[0]
-    if version not in SUPPORTED_VERSIONS:
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version {version} is not supported "
-            f"(this endpoint speaks {list(SUPPORTED_VERSIONS)})",
+            f"(this endpoint speaks {PROTOCOL_VERSION})",
             code="bad-version",
         )
-    head = _HEAD if version == 1 else _HEAD2
-    if len(body) < head.size:
+    if len(body) < _HEAD.size:
         raise ProtocolError(
             f"frame body of {len(body)} bytes is shorter than the "
-            f"{head.size}-byte v{version} header",
+            f"{_HEAD.size}-byte header",
             code="bad-frame",
         )
-    epoch = 0
-    if version == 1:
-        _, opcode, request_id = _HEAD.unpack_from(body, 0)
-    else:
-        _, opcode, request_id, epoch = _HEAD2.unpack_from(body, 0)
-    raw = body[head.size :]
+    _, opcode, request_id, epoch = _HEAD.unpack_from(body, 0)
     payload: Any = None
-    if raw:
-        if version >= 3:
-            payload = binpayload.decode_payload(raw)
-        else:
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(
-                    f"undecodable frame payload: {exc}", code="bad-payload"
-                ) from None
-    return Frame(version, opcode, request_id, payload, epoch)
-
-
-def decode_body(body: bytes) -> tuple[int, int, Any]:
-    """Parse a frame body into ``(opcode, request_id, payload)``.
-
-    The version-1-era entry point, kept for callers that predate the
-    epoch field; it accepts any supported version and drops the epoch.
-    """
-    frame = decode_frame(body)
-    return frame.opcode, frame.request_id, frame.payload
-
-
-def negotiated_version(ping_reply: Any) -> int:
-    """The highest protocol version shared with a peer, from its ``PING``
-    reply.  A peer that does not advertise ``versions`` is a v1 server.
-    """
-    if not isinstance(ping_reply, dict):
-        return 1
-    advertised = ping_reply.get("versions")
-    if not isinstance(advertised, list):
-        return 1
-    shared = [
-        v for v in advertised if isinstance(v, int) and v in SUPPORTED_VERSIONS
-    ]
-    return max(shared, default=1)
+    if len(body) > _HEAD.size:
+        payload = binpayload.decode_payload(body[_HEAD.size :])
+    return Frame(opcode, request_id, payload, epoch)
 
 
 def negotiated_max_frame(ping_reply: Any) -> int:
     """The frame-body cap a peer advertises in its ``PING`` reply.
 
     A peer that advertises nothing (or garbage) runs at the default
-    :data:`MAX_FRAME` — exactly what every pre-v3 build enforces.
+    :data:`MAX_FRAME`.
     """
     if not isinstance(ping_reply, dict):
         return MAX_FRAME
@@ -360,8 +287,8 @@ class FrameReader:
         self._pos = 0
 
     async def next_frame(self, max_frame: int | None = None) -> bytes | None:
-        """One frame body (``max_frame`` may change between calls: the
-        session tightens it after negotiation)."""
+        """One frame body (``max_frame`` may change between calls: a
+        client adopts the peer's cap after negotiation)."""
         limit = MAX_FRAME if max_frame is None else max_frame
         buf = self._buf
         prefix_size = _LEN.size
@@ -459,5 +386,29 @@ def field(payload: Any, name: str, kind: type | None = None) -> Any:
 
 
 def key_field(payload: Any, name: str = "key") -> list:
-    """A key vector: a JSON array of attribute values."""
+    """A key vector: a list of attribute values."""
     return field(payload, name, list)
+
+
+def keys_field(payload: Any) -> list:
+    """The ``keys`` field of a batch request: a list of key vectors."""
+    keys = field(payload, "keys", list)
+    for key in keys:
+        if not isinstance(key, list):
+            raise ProtocolError("keys must be [key, ...]", code="bad-payload")
+    return keys
+
+
+def range_fields(payload: Any) -> tuple[list, list, int | None]:
+    """A RANGE request's ``(lows, highs, parallelism)``; ``parallelism``
+    is ``None`` when absent and otherwise a positive integer."""
+    lows = field(payload, "lows", list)
+    highs = field(payload, "highs", list)
+    parallelism = payload.get("parallelism")
+    if parallelism is not None and (
+        not isinstance(parallelism, int) or parallelism < 1
+    ):
+        raise ProtocolError(
+            "parallelism must be a positive integer", code="bad-payload"
+        )
+    return lows, highs, parallelism

@@ -59,10 +59,11 @@ from repro.server.protocol import (
     MAX_FRAME,
     MUTATION_OPCODES,
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     Opcode,
     field,
     key_field,
+    keys_field,
+    range_fields,
 )
 from repro.server.session import Session
 from repro.server.shard import ShardManager
@@ -249,11 +250,6 @@ class ReplicaServer:
             self._config.primary_port,
             negotiate=True,
         )
-        if client.protocol_version < 3:
-            raise ProtocolError(
-                "replication needs protocol v3 (binary page images)",
-                code="bad-version",
-            )
         hello = await client.repl("hello")
         stream = field(hello, "stream", int)
         base_lsn = field(hello, "lsn", int)
@@ -416,7 +412,6 @@ class ReplicaServer:
             return {
                 "pong": True,
                 "version": PROTOCOL_VERSION,
-                "versions": list(SUPPORTED_VERSIONS),
                 "max_frame": self.max_frame,
                 "role": "replica",
             }
@@ -428,12 +423,7 @@ class ReplicaServer:
             )
         if opcode == Opcode.SEARCH_MANY:
             self._check_fresh()
-            keys = field(payload, "keys", list)
-            for key in keys:
-                if not isinstance(key, list):
-                    raise ProtocolError(
-                        "keys must be [key, ...]", code="bad-payload"
-                    )
+            keys = keys_field(payload)
             return await self._run_read(
                 lambda: {"values": self._file.search_many(keys)}
             )
@@ -449,16 +439,7 @@ class ReplicaServer:
         )
 
     async def _range(self, payload: Any) -> Any:
-        lows = field(payload, "lows", list)
-        highs = field(payload, "highs", list)
-        parallelism = None
-        if isinstance(payload, dict) and payload.get("parallelism") is not None:
-            parallelism = payload["parallelism"]
-            if not isinstance(parallelism, int) or parallelism < 1:
-                raise ProtocolError(
-                    "parallelism must be a positive integer",
-                    code="bad-payload",
-                )
+        lows, highs, parallelism = range_fields(payload)
 
         def scan() -> Any:
             records = [

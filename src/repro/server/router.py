@@ -23,10 +23,10 @@ shard worker and dispatches by z value:
   z-ascending merge — the network analogue of the parallel scanner's
   ordered reduction.
 
-The router speaks protocol v2 with its clients.  Its topology epoch
-stamps every reply header; a data request asserting a stale epoch is
-rejected with ``stale-topology`` (the rejection itself carries the new
-epoch, so clients retry transparently).  A dead worker surfaces as a
+The router's topology epoch stamps every reply header; a data request
+asserting a stale epoch is rejected with ``stale-topology`` (the
+rejection itself carries the new epoch, so clients retry
+transparently).  A dead worker surfaces as a
 structured ``shard-down`` error after one bounded reconnect attempt —
 never a hang — while the remaining shards keep serving.
 
@@ -71,10 +71,11 @@ from repro.server.protocol import (
     MAX_FRAME,
     MUTATION_OPCODES,
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     Opcode,
     field,
     key_field,
+    keys_field,
+    range_fields,
 )
 from repro.server.session import Session
 from repro.server.shard import ShardManager, ShardSpec, shard_for
@@ -143,9 +144,9 @@ class _ShardLink:
                 return
             reconnecting = self._client is not None
             try:
-                # Negotiated links: a worker that speaks v3 serves the
+                # Negotiated links adopt the worker's frame cap for the
                 # router's forwarded traffic (and the migration copy
-                # stream riding these links) in binary payloads.
+                # stream riding these links).
                 self._client = await asyncio.wait_for(
                     QueryClient.connect(
                         self.spec.host, self.spec.port, negotiate=True
@@ -621,7 +622,6 @@ class ShardRouter:
             return {
                 "pong": True,
                 "version": PROTOCOL_VERSION,
-                "versions": list(SUPPORTED_VERSIONS),
                 "max_frame": self.max_frame,
                 "role": "router",
                 "shards": len(self._links),
@@ -823,12 +823,7 @@ class ShardRouter:
         return {"inserted": inserted}
 
     async def _keyed_many(self, opcode: Opcode, payload: Any) -> Any:
-        keys = field(payload, "keys", list)
-        for key in keys:
-            if not isinstance(key, list):
-                raise ProtocolError(
-                    "keys must be [key, ...]", code="bad-payload"
-                )
+        keys = keys_field(payload)
         groups = self._split_by_shard(keys)
         self.metrics.batches_split += 1
         if opcode == Opcode.SEARCH_MANY:
@@ -860,8 +855,7 @@ class ShardRouter:
         return {"values": values}
 
     async def _range(self, payload: Any) -> Any:
-        lows = field(payload, "lows", list)
-        highs = field(payload, "highs", list)
+        lows, highs, _ = range_fields(payload)
         try:
             z_low = self._z(lows)
             z_high = self._z(highs)

@@ -54,10 +54,11 @@ from repro.server.protocol import (
     MAX_FRAME,
     MUTATION_OPCODES,
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     Opcode,
     field,
     key_field,
+    keys_field,
+    range_fields,
 )
 from repro.server.session import INLINE_MISS, Session
 from repro.storage.wal import WALBackend, checkpoint
@@ -132,7 +133,7 @@ class QueryServer:
         self._host = host
         self._port = port
         #: Frame-body cap, advertised in PING replies; sessions read and
-        #: write frames up to this size once a v3 client negotiates.
+        #: write frames up to this size once a client negotiates.
         self.max_frame = max_frame
         self.metrics = ServerMetrics()
         self.admission = AdmissionController(max_inflight, session_pipeline)
@@ -186,7 +187,7 @@ class QueryServer:
     @property
     def epoch(self) -> int:
         """A plain server has no shard topology: always epoch 0, which
-        v2 clients read as "nothing to assert"."""
+        clients read as "nothing to assert"."""
         return 0
 
     @property
@@ -291,12 +292,7 @@ class QueryServer:
                 lambda: {"value": self._file.search(key)}
             )
         if opcode == Opcode.SEARCH_MANY:
-            keys = field(payload, "keys", list)
-            for key in keys:
-                if not isinstance(key, list):
-                    raise ProtocolError(
-                        "keys must be [key, ...]", code="bad-payload"
-                    )
+            keys = keys_field(payload)
             return await self._run_read(
                 lambda: {"values": self._file.search_many(keys)}
             )
@@ -314,7 +310,6 @@ class QueryServer:
         return {
             "pong": True,
             "version": PROTOCOL_VERSION,
-            "versions": list(SUPPORTED_VERSIONS),
             "max_frame": self.max_frame,
             "role": "server",
         }
@@ -345,14 +340,9 @@ class QueryServer:
             key = key_field(payload)
             reader = lambda: {"value": self._file.search(key)}  # noqa: E731
         elif opcode is Opcode.SEARCH_MANY:
-            keys = field(payload, "keys", list)
+            keys = keys_field(payload)
             if len(keys) > _INLINE_BATCH_LIMIT:
                 return INLINE_MISS
-            for key in keys:
-                if not isinstance(key, list):
-                    raise ProtocolError(
-                        "keys must be [key, ...]", code="bad-payload"
-                    )
             reader = lambda: {  # noqa: E731
                 "values": self._file.search_many(keys)
             }
@@ -406,20 +396,11 @@ class QueryServer:
                 return fn()
 
     async def _range(self, payload: Any) -> Any:
-        lows = field(payload, "lows", list)
-        highs = field(payload, "highs", list)
-        parallelism = None
-        if isinstance(payload, dict) and payload.get("parallelism") is not None:
-            parallelism = payload["parallelism"]
-            if not isinstance(parallelism, int) or parallelism < 1:
-                raise ProtocolError(
-                    "parallelism must be a positive integer",
-                    code="bad-payload",
-                )
+        lows, highs, parallelism = range_fields(payload)
         if parallelism is None:
             parallelism = self._range_parallelism
         use_snapshot = True
-        if isinstance(payload, dict) and payload.get("snapshot") is not None:
+        if payload.get("snapshot") is not None:
             use_snapshot = bool(payload["snapshot"])
 
         def scan() -> Any:
@@ -585,8 +566,8 @@ class QueryServer:
         drop records the stream still needs); ``checkpoint`` pages the
         committed images to a bootstrapping follower; ``tail`` drains
         the committed batches published since the last drain; ``bye``
-        detaches.  Requires a WAL backend and protocol v3 (page images
-        are raw bytes).  Everything here is read-side: replication can
+        detaches.  Requires a WAL backend (page images travel as raw
+        bytes).  Everything here is read-side: replication can
         never enter the write aggregator.
         """
         action = field(payload, "action", str)

@@ -540,17 +540,21 @@ class TestLint:
             ) == [], snippet
 
     def test_hot_path_json_scoping(self):
-        # lint_paths exempts exactly the textual-fallback owners: the
-        # frame codec, the payload codec's JSON escape hatch, and the
-        # topology file — every other server module is hot path.
+        # lint_paths exempts exactly the digest blob codec and the
+        # topology file — every other server module, the frame codec
+        # included, is hot path and holds no json call.
         import pathlib
 
         from repro.sanitize import lint_paths
+        from repro.sanitize.lint import SERVER_JSON_ALLOWED
 
         root = pathlib.Path(__file__).parent.parent / "src" / "repro"
         assert lint_paths([str(root / "server")]) == []
+        assert "server/protocol.py" not in SERVER_JSON_ALLOWED
         source = (root / "server" / "protocol.py").read_text()
-        issues = lint_source(source, "protocol.py", check_hot_json=True)
+        assert lint_source(source, "protocol.py", check_hot_json=True) == []
+        source = (root / "server" / "binpayload.py").read_text()
+        issues = lint_source(source, "binpayload.py", check_hot_json=True)
         assert issues and {i.code for i in issues} == {"REP107"}
 
     def test_replica_mutation_flagged(self):

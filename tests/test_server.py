@@ -36,7 +36,7 @@ from repro.server import (
     QueryClient,
     QueryServer,
     ServerBusy,
-    decode_body,
+    decode_frame,
     encode_frame,
 )
 from repro.server.admission import AdmissionController
@@ -63,28 +63,37 @@ class TestProtocol:
         frame = encode_frame(Opcode.INSERT, 7, {"key": [1, 2], "value": "x"})
         (length,) = struct.unpack_from("<I", frame)
         assert length == len(frame) - 4
-        opcode, request_id, payload = decode_body(frame[4:])
-        assert opcode == Opcode.INSERT
-        assert request_id == 7
-        assert payload == {"key": [1, 2], "value": "x"}
+        frame = decode_frame(frame[4:])
+        assert frame.opcode == Opcode.INSERT
+        assert frame.request_id == 7
+        assert frame.payload == {"key": [1, 2], "value": "x"}
 
     def test_empty_payload_roundtrip(self):
-        frame = encode_frame(Opcode.PING, 1)
-        opcode, request_id, payload = decode_body(frame[4:])
-        assert (opcode, request_id, payload) == (Opcode.PING, 1, None)
+        frame = decode_frame(encode_frame(Opcode.PING, 1)[4:])
+        assert (frame.opcode, frame.request_id, frame.payload) == (
+            Opcode.PING, 1, None
+        )
 
     def test_bad_version_rejected(self):
-        frame = bytearray(encode_frame(Opcode.PING, 1))
-        frame[4] = 99  # version byte
-        with pytest.raises(ProtocolError) as caught:
-            decode_body(bytes(frame[4:]))
-        assert caught.value.code == "bad-version"
+        # Only version byte 3 is spoken; the retired v1 (no epoch) and
+        # v2 (JSON body) layouts are rejected like any unknown version.
+        for version in (1, 2, 99):
+            frame = bytearray(encode_frame(Opcode.PING, 1))
+            frame[4] = version
+            with pytest.raises(ProtocolError) as caught:
+                decode_frame(bytes(frame[4:]))
+            assert caught.value.code == "bad-version", version
 
     def test_garbage_payload_rejected(self):
-        body = struct.pack("<BBI", 1, int(Opcode.PING), 1) + b"\xff\xfe"
-        with pytest.raises(ProtocolError) as caught:
-            decode_body(body)
-        assert caught.value.code == "bad-payload"
+        head = struct.pack("<BBII", 3, int(Opcode.PING), 1, 0)
+        for raw in (
+            b"\xff\xfe",             # unknown format byte
+            b"\x01{}",                # the retired JSON format byte
+            b"\x02\xfe",             # binary format, unknown value tag
+        ):
+            with pytest.raises(ProtocolError) as caught:
+                decode_frame(head + raw)
+            assert caught.value.code == "bad-payload", raw
 
     def test_read_frame_truncations(self):
         async def scenario(raw):
@@ -229,7 +238,7 @@ class TestServedApi:
                 host, port = server.address
                 async with await QueryClient.connect(host, port) as client:
                     pong = await client.ping()
-                    assert pong["pong"] and pong["version"] == 1
+                    assert pong["pong"] and pong["version"] == 3
                     stats = await client.stats()
                     assert stats["scheme"] == "BMEHTree"
                     assert stats["dims"] == 2 and stats["keys"] == 0
@@ -443,9 +452,15 @@ def parse_error_reply(data):
     """Decode the first frame of ``data`` as a REPLY_ERR payload."""
     assert len(data) >= 4
     (length,) = struct.unpack_from("<I", data)
-    opcode, _rid, payload = decode_body(data[4:4 + length])
-    assert opcode == Opcode.REPLY_ERR
-    return payload
+    frame = decode_frame(data[4:4 + length])
+    assert frame.opcode == Opcode.REPLY_ERR
+    return frame.payload
+
+
+def _v3_frame(opcode, request_id, raw=b""):
+    """A hand-built frame body behind a version-3 header."""
+    body = struct.pack("<BBII", 3, opcode, request_id, 0) + raw
+    return struct.pack("<I", len(body)) + body
 
 
 class TestFuzz:
@@ -460,6 +475,12 @@ class TestFuzz:
         struct.pack("<I", 8) + struct.pack("<BBI", 1, 2, 1) + b"{]",  # json
         encode_frame(Opcode.INSERT, 3, {"nope": 1}),   # missing key field
         encode_frame(Opcode.INSERT, 4, {"key": "zap"}),  # key not a list
+        struct.pack("<I", 10) + struct.pack("<BBII", 2, 2, 1, 0),  # v2
+        _v3_frame(77, 5),                                # bad opcode
+        _v3_frame(128, 6),                               # reply op
+        _v3_frame(2, 7, b"\x01{}"),                      # JSON format
+        _v3_frame(2, 8, b"\x02\xfe"),                    # bad value tag
+        struct.pack("<I", 3) + struct.pack("<BBB", 3, 2, 1),  # short head
     ]
 
     def test_fuzz_frames_never_kill_the_server(self, tmp_path):
@@ -504,11 +525,53 @@ class TestFuzz:
                     body = await asyncio.wait_for(
                         read_frame(reader), timeout=5.0
                     )
-                    opcode, rid, payload = decode_body(body)
-                    replies[rid] = (opcode, payload)
+                    frame = decode_frame(body)
+                    replies[frame.request_id] = (frame.opcode, frame.payload)
                 assert replies[1][0] == Opcode.REPLY_ERR
                 assert replies[1][1]["code"] == "bad-payload"
                 assert replies[2][0] == Opcode.REPLY_OK
+                writer.close()
+                await writer.wait_closed()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "blob, code",
+        [
+            (struct.pack("<I", 6) + struct.pack("<BBI", 1, 1, 1),
+             "bad-version"),                                 # v1 header
+            (struct.pack("<I", 10) + struct.pack("<BBII", 2, 1, 1, 0),
+             "bad-version"),                                 # v2 header
+            (_v3_frame(1, 1, b"\x01{}"), "bad-payload"),       # JSON format
+        ],
+        ids=["v1", "v2", "json-format"],
+    )
+    def test_retired_format_is_rejected_and_stream_continues(
+        self, tmp_path, blob, code
+    ):
+        async def scenario():
+            file = make_file(tmp_path)
+            async with QueryServer(file) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                from repro.server.protocol import read_frame
+
+                writer.write(blob)
+                writer.write(encode_frame(Opcode.PING, 2))
+                await writer.drain()
+                first = decode_frame(
+                    await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                )
+                assert first.opcode == Opcode.REPLY_ERR
+                assert first.payload["code"] == code
+                second = decode_frame(
+                    await asyncio.wait_for(read_frame(reader), timeout=5.0)
+                )
+                assert (second.opcode, second.request_id) == (
+                    Opcode.REPLY_OK, 2
+                )
+                assert second.payload["version"] == 3
+                assert "versions" not in second.payload
                 writer.close()
                 await writer.wait_closed()
 
@@ -870,7 +933,7 @@ class TestMalformedReplyValidation:
 
 
 # ---------------------------------------------------------------------------
-# PR 9: buffered framing, negotiated frame caps, v1/v2/v3 coexistence
+# buffered framing, negotiated frame caps, one frame format
 
 
 from repro.server import protocol as proto
@@ -895,7 +958,7 @@ class TestFrameReader:
             for i, frame in enumerate(frames):
                 body = await frs.next_frame()
                 assert body == frame[4:]
-                assert decode_body(body)[1] == i
+                assert decode_frame(body).request_id == i
             assert await frs.next_frame() is None
             # EOF is sticky.
             assert await frs.next_frame() is None
@@ -971,21 +1034,8 @@ class TestFrameCapNegotiation:
                     assert client.max_frame == MAX_FRAME  # pre-negotiation
                     pong = await client.ping()
                     assert pong["max_frame"] == 4096
-                    assert await client.negotiate() == 3
+                    assert await client.negotiate() == 4096
                     assert client.max_frame == 4096
-
-        run(scenario())
-
-    def test_un_negotiated_connection_keeps_the_default(self, tmp_path):
-        async def scenario():
-            file = make_file(tmp_path)
-            async with QueryServer(file) as server:
-                host, port = server.address
-                async with await QueryClient.connect(host, port) as client:
-                    await client.insert((1, 1), "v")
-                    assert client.max_frame == MAX_FRAME
-                    pong = await client.ping()
-                    assert pong["max_frame"] == MAX_FRAME
 
         run(scenario())
 
@@ -1018,39 +1068,9 @@ class TestFrameCapNegotiation:
 
 
 class TestWireCoexistence:
-    def test_frame_version_matrix(self):
-        payload = {"key": [1, 2], "value": "café"}
-        for version in (1, 2, 3):
-            blob = encode_frame(
-                Opcode.INSERT, 9, payload, version=version, epoch=4
-            )
-            frame = proto.decode_frame(blob[4:])
-            assert frame.version == version
-            assert frame.opcode == Opcode.INSERT
-            assert frame.request_id == 9
-            assert frame.payload == payload
-            assert frame.epoch == (4 if version >= 2 else 0)
-
-    def test_v1_and_v3_clients_share_one_server(self, tmp_path):
-        async def scenario():
-            file = make_file(tmp_path)
-            async with QueryServer(file) as server:
-                host, port = server.address
-                plain = await QueryClient.connect(host, port)
-                keen = await QueryClient.connect(host, port, negotiate=True)
-                async with plain, keen:
-                    assert plain.protocol_version == 1
-                    assert keen.protocol_version == 3
-                    await keen.insert((1, 2), "from-v3")
-                    assert await plain.search((1, 2)) == "from-v3"
-                    await plain.insert((3, 4), [1, {"k": None}])
-                    assert await keen.search((3, 4)) == [1, {"k": None}]
-
-        run(scenario())
-
     def test_v3_carries_values_json_cannot(self, tmp_path):
-        """bytes survive a v3 round-trip verbatim — proof the binary
-        payload codec (not the JSON fallback) carried the frames."""
+        """bytes survive a negotiated round-trip verbatim — proof the
+        binary payload codec carried the frames."""
 
         async def scenario():
             file = make_file(tmp_path)
@@ -1061,5 +1081,50 @@ class TestWireCoexistence:
                     value = b"\x00\xff\xfe" * 5
                     await client.insert((7, 7), value)
                     assert await client.search((7, 7)) == value
+
+        run(scenario())
+
+    def test_unnegotiated_client_carries_bytes(self, tmp_path):
+        """A client that never negotiates still speaks the binary
+        payload format: ``bytes`` only exist in that format."""
+
+        async def scenario():
+            file = make_file(tmp_path)
+            async with QueryServer(file) as server:
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as client:
+                    value = b"\x00\xff\x01" * 7
+                    await client.insert((8, 8), value)
+                    assert await client.search((8, 8)) == value
+                    assert client.max_frame == MAX_FRAME
+
+        run(scenario())
+
+    def test_value_outside_binval_is_refused_not_downgraded(self):
+        """A value the binary codec cannot carry is an error on the side
+        that tries to send it; the connection keeps serving."""
+        import enum
+
+        from repro.errors import SerializationError
+        from repro.server import RemoteError
+
+        class Level(enum.IntEnum):
+            HIGH = 1
+
+        async def scenario():
+            file = make_file()
+            file.insert((5, 5), Level.HIGH)  # stored in-process, not wired
+            async with QueryServer(file) as server:
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as client:
+                    with pytest.raises(SerializationError):
+                        await client.insert((1, 1), {1, 2})
+                    assert not client._pending
+                    with pytest.raises(RemoteError) as caught:
+                        await client.search((5, 5))
+                    assert caught.value.code == "internal"
+                    assert "unencodable reply" in str(caught.value)
+                    await client.insert((1, 1), "ok")
+                    assert await client.search((1, 1)) == "ok"
 
         run(scenario())

@@ -288,7 +288,7 @@ class TestKillOneShard:
 
 
 # ---------------------------------------------------------------------------
-# protocol v2: negotiation, topology, routing introspection
+# negotiation, topology, routing introspection
 
 
 class TestProtocolV2:
@@ -303,9 +303,7 @@ class TestProtocolV2:
                     host, port = router.address
                     client = await QueryClient.connect(host, port)
                     async with client:
-                        assert client.protocol_version == 1
-                        assert await client.negotiate() == 3
-                        assert client.protocol_version == 3
+                        assert await client.negotiate() == router.max_frame
                         topo = await client.topology()
                         assert topo["role"] == "router"
                         assert topo["epoch"] == router.epoch == 1
@@ -323,7 +321,7 @@ class TestProtocolV2:
                                 == manager.shard_for_key(key)
                             )
                             assert routed["z"] == interleave(key, WIDTHS)
-                        # any v2 reply header refreshed the cached epoch
+                        # any reply header refreshed the cached epoch
                         assert client.epoch == 1
 
             run(scenario())
@@ -364,7 +362,6 @@ class TestProtocolV2:
                     host, port, negotiate=True
                 )
                 async with client:
-                    assert client.protocol_version == 3
                     topo = await client.topology()
                     assert topo["role"] == "server"
                     assert topo["boundaries"] == []
@@ -373,12 +370,6 @@ class TestProtocolV2:
                     assert shard["z_high"] == (1 << (DIMS * WIDTH)) - 1
                     routed = await client.route((7, 9))
                     assert routed["shard"] == 0
-                    # a v1 client keeps working against the same server
-                    legacy = await QueryClient.connect(host, port)
-                    async with legacy:
-                        assert legacy.protocol_version == 1
-                        await legacy.insert((1, 2), "old")
-                        assert await legacy.search((1, 2)) == "old"
 
         run(scenario())
 
