@@ -34,6 +34,7 @@ from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.bits import low_mask
 from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
+from repro.extarray import ExtendibleArray
 from repro.storage import DataPage, PageStore
 from repro.core.directory import DirEntry, region_indices
 from repro.core.interface import (
@@ -352,11 +353,9 @@ class HashTreeBase(MultidimensionalIndex):
     # -- node cutting (used by the BMEH split; see DESIGN.md §4.2) -------------
 
     def _blank_node(self, level: int, depths: Sequence[int]) -> Node:
-        node = Node(self._dims, self._xi, level)
-        for axis, depth in enumerate(depths):
-            for _ in range(depth):
-                node.array.grow(axis)
-        return node
+        axes = [axis for axis, depth in enumerate(depths) for _ in range(depth)]
+        array = ExtendibleArray.from_history(self._dims, axes)
+        return Node(self._dims, self._xi, level, array)
 
     def _cut_node(
         self, node_id: int, axis: int, consumed: tuple[int, ...]

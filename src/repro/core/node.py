@@ -30,14 +30,32 @@ class Node:
 
     __slots__ = ("array", "level", "xi")
 
-    def __init__(self, dims: int, xi: Sequence[int], level: int) -> None:
+    def __init__(
+        self,
+        dims: int,
+        xi: Sequence[int],
+        level: int,
+        array: ExtendibleArray | None = None,
+    ) -> None:
         if level < 1:
             raise ValueError("directory nodes live at level >= 1")
         if len(xi) != dims:
             raise ValueError("xi must have one budget per dimension")
-        self.array = ExtendibleArray(dims, fill=None)
+        self.array = ExtendibleArray(dims, fill=None) if array is None else array
         self.level = level
         self.xi = tuple(xi)
+
+    def copy(self) -> "Node":
+        """A private copy for a snapshot: every region entry is cloned
+        once (cells that shared an entry share its clone) and the
+        addressing tables stay shared — exactly what writers mutate is
+        copied, nothing else."""
+        return Node(
+            self.array.dims, self.xi, self.level, self.array.copy(DirEntry.clone)
+        )
+
+    def __deepcopy__(self, memo: dict[int, object]) -> "Node":
+        return self.copy()
 
     @property
     def dims(self) -> int:
@@ -107,9 +125,11 @@ class NodeCodec(PageCodec):
     ``u8 format-version | u8 level | u8 dims | dims*u8 xi | u8 steps |
     steps*u8 axes`` then one record per distinct region entry
     (``dims*u8 h | u8 m | i64 ptr | u8 is_node | u32 cell-count | cells``)
-    where cells are u32 linear addresses.  Replaying the growth axes
-    reconstructs the array's addressing history exactly.  Decoding works
-    over a ``memoryview`` of the page slot without copying it.
+    where cells are u32 linear addresses.  The growth axes name the
+    array's addressing history, so decoding adopts its shared tables and
+    fills the cells in O(cells) — no doubling is replayed — and rejects
+    an image that leaves any cell unset.  Decoding works over a
+    ``memoryview`` of the page slot without copying it.
     """
 
     tag = 0x12
@@ -169,13 +189,17 @@ class NodeCodec(PageCodec):
             offset += dims
             (steps,) = struct.unpack_from("<B", data, offset)
             offset += 1
-            axes = data[offset : offset + steps]
+            axes = bytes(data[offset : offset + steps])
             if len(axes) < steps:
                 raise SerializationError("truncated node growth history")
             offset += steps
-            node = Node(dims, xi, level)
-            for axis in axes:
-                node.array.grow(axis)
+            if 4 << steps > len(data) - offset:
+                # Every cell appears once as a u32 address below; a
+                # corrupt step count must not allocate 2^steps cells.
+                raise SerializationError(
+                    f"node image too short for 2^{steps} cells"
+                )
+            cells: list[DirEntry | None] = [None] * (1 << steps)
             (group_count,) = struct.unpack_from("<I", data, offset)
             offset += 4
             record = struct.Struct(f"<{dims}BBqBI")
@@ -188,9 +212,14 @@ class NodeCodec(PageCodec):
                 addresses = struct.unpack_from(f"<{cell_count}I", data, offset)
                 offset += 4 * cell_count
                 for address in addresses:
-                    node.array.set_at(address, entry)
-            return node
-        except (struct.error, IndexError) as exc:
+                    cells[address] = entry
+            if None in cells:
+                raise SerializationError(
+                    f"node image leaves cell {cells.index(None)} unset"
+                )
+            array = ExtendibleArray.from_history(dims, axes, cells)
+            return Node(dims, xi, level, array)
+        except (struct.error, IndexError, ValueError) as exc:
             raise SerializationError(f"corrupt node image: {exc}") from exc
 
 

@@ -2,16 +2,109 @@
 
 Generalizes Theorem 1 to an *arbitrary* doubling history: the hashing
 directories double along whichever axis an overflowing region demands, so
-the cyclic-order closed form does not always apply.  The array records one
-history entry per doubling (the axis and the depth vector before it);
-addresses are computed from the history in O(d).  When the history happens
-to be cyclic the addresses coincide with :func:`theorem1_address` — a
-property the test suite checks.
+the cyclic-order closed form does not always apply.  Addressing depends
+only on the doubling history (the sequence of grown axes), so the
+index<->address tables are built once per history and shared by every
+array with that history.  When the history happens to be cyclic the
+addresses coincide with :func:`theorem1_address` — a property the test
+suite checks.
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from typing import Any, Callable, Iterator, Sequence
+
+
+class _Layout:
+    """The immutable index<->address tables of one doubling history.
+
+    Addressing depends only on ``dims`` and the sequence of grown axes,
+    so every array with that history shares one layout: ``address`` and
+    ``index_of`` are a dict and a tuple lookup.  A layout is never
+    mutated after construction; growth and shrinkage switch an array to
+    the layout of its new history.
+    """
+
+    __slots__ = ("axes", "history", "depths", "indices", "addresses", "__weakref__")
+
+    def __init__(
+        self,
+        axes: tuple[int, ...],
+        history: tuple[tuple[int, tuple[int, ...]], ...],
+        depths: tuple[int, ...],
+        indices: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.axes = axes
+        #: Per growth step: (axis, depth vector before the step).
+        self.history = history
+        self.depths = depths
+        #: Index tuple of each linear address.
+        self.indices = indices
+        self.addresses = dict(zip(indices, itertools.count()))
+
+
+#: Interned layouts by ``(dims, axes)``.  Weak values: a layout lives
+#: only while some array uses it, so the old shapes of a large one-level
+#: directory are not retained after it doubles.
+_LAYOUTS: "weakref.WeakValueDictionary[tuple[int, tuple[int, ...]], _Layout]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _block(
+    axis: int, before: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Index tuples of the cells one doubling along ``axis`` appends, in
+    address order: the new ``axis`` coordinate is the most significant
+    digit, the other axes follow row-major (last axis fastest)."""
+    top = 1 << before[axis]
+    others = [range(1 << h) for j, h in enumerate(before) if j != axis]
+    for k in range(top, 2 * top):
+        head = (k,)
+        for rest in itertools.product(*others):
+            yield rest[:axis] + head + rest[axis:]
+
+
+def _layout_for(
+    dims: int, axes: tuple[int, ...], base: _Layout | None = None
+) -> _Layout:
+    """The interned layout of history ``axes``.
+
+    ``base`` — the layout of a prefix or of an extension of ``axes`` —
+    saves rebuilding the part the two histories have in common.
+    """
+    key = (dims, axes)
+    layout = _LAYOUTS.get(key)
+    if layout is not None:
+        return layout
+    steps = len(axes)
+    if base is not None and len(base.axes) > steps:
+        # A shrink: the shorter history's tables are a prefix.
+        layout = _Layout(
+            axes,
+            base.history[:steps],
+            base.history[steps][1],
+            base.indices[: 1 << steps],
+        )
+    else:
+        if base is None:
+            history: list[tuple[int, tuple[int, ...]]] = []
+            indices: list[tuple[int, ...]] = [(0,) * dims]
+            depths = [0] * dims
+        else:
+            history = list(base.history)
+            indices = list(base.indices)
+            depths = list(base.depths)
+        for axis in axes[len(history) :]:
+            before = tuple(depths)
+            history.append((axis, before))
+            indices.extend(_block(axis, before))
+            depths[axis] += 1
+        layout = _Layout(axes, tuple(history), tuple(depths), tuple(indices))
+    _LAYOUTS[key] = layout
+    return layout
 
 
 class ExtendibleArray:
@@ -22,29 +115,67 @@ class ExtendibleArray:
     ``t`` occupies addresses ``[2^t, 2^{t+1})``.
     """
 
-    __slots__ = (
-        "_dims",
-        "_depths",
-        "_cells",
-        "_history",
-        "_axis_steps",
-        "_addr_cache",
-    )
+    __slots__ = ("_dims", "_cells", "_layout")
 
     def __init__(self, dims: int, fill: Any = None) -> None:
         if dims < 1:
             raise ValueError("dims must be positive")
         self._dims = dims
-        self._depths = [0] * dims
         self._cells: list[Any] = [fill]
-        # Per growth step: (axis, depth-vector before the step).
-        self._history: list[tuple[int, tuple[int, ...]]] = []
-        # Per axis: global step number of each of its doublings.
-        self._axis_steps: list[list[int]] = [[] for _ in range(dims)]
-        # Lazily built {index tuple: address} map; the mapping only
-        # changes when the shape does, so growth/shrink drop it and the
-        # next :meth:`address` call rebuilds it in one pass.
-        self._addr_cache: dict[tuple[int, ...], int] | None = None
+        self._layout = _layout_for(dims, ())
+
+    @classmethod
+    def from_history(
+        cls,
+        dims: int,
+        axes: Sequence[int],
+        cells: list[Any] | None = None,
+    ) -> "ExtendibleArray":
+        """An array with doubling history ``axes``, built in O(cells).
+
+        ``cells`` (adopted, not copied) must hold ``2^len(axes)`` values
+        in address order; by default every cell is ``None``.  Nothing is
+        replayed: the addressing tables come straight from the history.
+        """
+        if dims < 1:
+            raise ValueError("dims must be positive")
+        axes = tuple(axes)
+        for axis in axes:
+            if not 0 <= axis < dims:
+                raise ValueError(f"axis {axis} outside [0, {dims})")
+        size = 1 << len(axes)
+        if cells is None:
+            cells = [None] * size
+        elif len(cells) != size:
+            raise ValueError(
+                f"{len(cells)} cells for a {len(axes)}-step history "
+                f"(needs {size})"
+            )
+        array = cls.__new__(cls)
+        array._dims = dims
+        array._cells = cells
+        array._layout = _layout_for(dims, axes)
+        return array
+
+    def copy(self, clone: Callable[[Any], Any]) -> "ExtendibleArray":
+        """A new array over the same (shared, immutable) addressing tables.
+
+        ``clone`` maps each distinct cell value to its copy once, so cells
+        that shared one object share its copy; ``None`` cells stay
+        ``None``.
+        """
+        twin = ExtendibleArray.__new__(ExtendibleArray)
+        twin._dims = self._dims
+        twin._layout = self._layout
+        copies: dict[int, Any] = {id(None): None}
+        cells = []
+        for cell in self._cells:
+            key = id(cell)
+            if key not in copies:
+                copies[key] = clone(cell)
+            cells.append(copies[key])
+        twin._cells = cells
+        return twin
 
     # -- shape ---------------------------------------------------------------
 
@@ -55,11 +186,16 @@ class ExtendibleArray:
     @property
     def depths(self) -> tuple[int, ...]:
         """Current per-axis doubling counts (extent of axis j = 2^depths[j])."""
-        return tuple(self._depths)
+        return self._layout.depths
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(1 << h for h in self._depths)
+        return tuple(1 << h for h in self._layout.depths)
+
+    @property
+    def layout(self) -> _Layout:
+        """The shared addressing tables of this array's history."""
+        return self._layout
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -69,73 +205,31 @@ class ExtendibleArray:
     def address(self, index: Sequence[int]) -> int:
         """Linear address of a cell; raises IndexError when out of range.
 
-        This is the innermost call of every directory descent.  Valid
-        addresses change only at a doubling, so the first lookup after a
-        growth step builds a flat ``{index: address}`` map and every
-        descent until the next doubling is a dict hit; the history scan
-        below survives as the rebuild step and the error path.
+        This is the innermost call of every directory descent: one dict
+        lookup in the shared layout.
         """
-        cache = self._addr_cache
-        if cache is None:
-            cache = self._addr_cache = {
-                self.index_of(a): a for a in range(len(self._cells))
-            }
-        found = cache.get(index if type(index) is tuple else tuple(index))
+        found = self._layout.addresses.get(
+            index if type(index) is tuple else tuple(index)
+        )
         if found is not None:
             return found
         # Not a valid index: re-derive the precise complaint.
         if len(index) != self._dims:
             raise IndexError(f"index {index!r} is not a {self._dims}-tuple")
-        depths = self._depths
-        axis_steps = self._axis_steps
-        step = -1
+        depths = self._layout.depths
         for j, i in enumerate(index):
             if not 0 <= i < (1 << depths[j]):
                 raise IndexError(
                     f"coordinate {i} outside [0, {1 << depths[j]}) "
                     f"on axis {j}"
                 )
-            if i:
-                creating = axis_steps[j][i.bit_length() - 1]
-                if creating > step:
-                    step = creating
-        if step < 0:
-            return 0
-        axis, before = self._history[step]
-        base = 1 << step  # total cells before the creating step
-        s = before[axis]
-        layer = base >> s  # product of the other axes' extents
-        offset = (index[axis] - (1 << s)) * layer
-        stride = 1
-        for j in range(self._dims - 1, -1, -1):
-            if j == axis:
-                continue
-            offset += index[j] * stride
-            stride <<= before[j]
-        return base + offset
+        raise IndexError(f"index {index!r} is not addressable")
 
     def index_of(self, address: int) -> tuple[int, ...]:
         """Inverse of :meth:`address`."""
         if not 0 <= address < len(self._cells):
             raise IndexError(f"address {address} outside [0, {len(self._cells)})")
-        if address == 0:
-            return (0,) * self._dims
-        step = address.bit_length() - 1
-        axis, before = self._history[step]
-        base = 1 << step
-        s = before[axis]
-        layer = base >> s
-        remainder = address - base
-        index = [0] * self._dims
-        index[axis] = (1 << s) + remainder // layer
-        remainder %= layer
-        for j in range(self._dims - 1, -1, -1):
-            if j == axis:
-                continue
-            extent = 1 << before[j]
-            index[j] = remainder % extent
-            remainder //= extent
-        return tuple(index)
+        return self._layout.indices[address]
 
     # -- access ---------------------------------------------------------------
 
@@ -156,9 +250,15 @@ class ExtendibleArray:
 
     def indices(self) -> Iterator[tuple[int, ...]]:
         """All valid index tuples, in address order."""
-        return (self.index_of(a) for a in range(len(self._cells)))
+        return iter(self._layout.indices)
 
     # -- growth ----------------------------------------------------------------
+
+    def _grown_layout(self, axis: int) -> _Layout:
+        if not 0 <= axis < self._dims:
+            raise ValueError(f"axis {axis} outside [0, {self._dims})")
+        layout = self._layout
+        return _layout_for(self._dims, layout.axes + (axis,), layout)
 
     def grow(
         self, axis: int, clone: Callable[[Any], Any] | None = None
@@ -174,27 +274,17 @@ class ExtendibleArray:
 
         Returns the range of newly created linear addresses.
         """
-        if not 0 <= axis < self._dims:
-            raise ValueError(f"axis {axis} outside [0, {self._dims})")
-        before = tuple(self._depths)
-        step = len(self._history)
-        self._history.append((axis, before))
-        self._axis_steps[axis].append(step)
-        self._depths[axis] += 1
-        old_size = len(self._cells)
-        top = 1 << before[axis]
-        self._cells.extend([None] * old_size)
-        # Appending never moves a cell, so an existing address cache
-        # stays valid — extend it with the new block instead of
-        # invalidating (the new index tuples fall out of the loop).
-        cache = self._addr_cache
-        for address in range(old_size, 2 * old_size):
-            index = list(self.index_of(address))
-            if cache is not None:
-                cache[tuple(index)] = address
-            index[axis] -= top
-            buddy = self._cells[self.address(index)]
-            self._cells[address] = buddy if clone is None else clone(buddy)
+        layout = self._grown_layout(axis)
+        cells = self._cells
+        old_size = len(cells)
+        top = 1 << self._layout.depths[axis]
+        addresses = layout.addresses  # old-shape tuples keep their address
+        for index in layout.indices[old_size:]:
+            buddy = cells[
+                addresses[index[:axis] + (index[axis] - top,) + index[axis + 1 :]]
+            ]
+            cells.append(buddy if clone is None else clone(buddy))
+        self._layout = layout
         return range(old_size, 2 * old_size)
 
     def grow_rehash(self, axis: int) -> None:
@@ -209,21 +299,16 @@ class ExtendibleArray:
         extendible-hashing directory-doubling cost the paper's
         hierarchical design exists to avoid.
         """
-        if not 0 <= axis < self._dims:
-            raise ValueError(f"axis {axis} outside [0, {self._dims})")
-        self._addr_cache = None
-        old_values = list(self._cells)
-        old_address = self.address  # addresses of old-shape tuples are stable
-        before = tuple(self._depths)
-        step = len(self._history)
-        self._history.append((axis, before))
-        self._axis_steps[axis].append(step)
-        self._depths[axis] += 1
-        self._cells.extend([None] * len(old_values))
-        for address in range(len(self._cells)):
-            index = list(self.index_of(address))
-            index[axis] >>= 1
-            self._cells[address] = old_values[old_address(index)]
+        layout = self._grown_layout(axis)
+        old_values = self._cells
+        addresses = layout.addresses  # old-shape tuples keep their address
+        self._cells = [
+            old_values[
+                addresses[index[:axis] + (index[axis] >> 1,) + index[axis + 1 :]]
+            ]
+            for index in layout.indices
+        ]
+        self._layout = layout
 
     def shrink_rehash(self) -> int:
         """Undo the most recent :meth:`grow_rehash`.
@@ -233,22 +318,21 @@ class ExtendibleArray:
         pair holds the same content (every region's local depth below the
         global depth).  Returns the halved axis.
         """
-        if not self._history:
+        old = self._layout
+        if not old.axes:
             raise ValueError("cannot shrink a single-cell array")
-        self._addr_cache = None
-        axis = self._history[-1][0]
-        old_values = list(self._cells)
-        old_index_of = [self.index_of(a) for a in range(len(self._cells))]
-        self._history.pop()
-        self._axis_steps[axis].pop()
-        self._depths[axis] -= 1
-        del self._cells[len(self._cells) // 2 :]
-        for old_address, index in enumerate(old_index_of):
-            if index[axis] & 1:
-                continue  # keep only the even coordinate of each pair
-            new_index = list(index)
-            new_index[axis] >>= 1
-            self._cells[self.address(new_index)] = old_values[old_address]
+        axis = old.axes[-1]
+        layout = _layout_for(self._dims, old.axes[:-1], old)
+        old_values = self._cells
+        addresses = old.addresses
+        # Keep only the even coordinate of each collapsed pair.
+        self._cells = [
+            old_values[
+                addresses[index[:axis] + (index[axis] << 1,) + index[axis + 1 :]]
+            ]
+            for index in layout.indices
+        ]
+        self._layout = layout
         return axis
 
     def shrink(self) -> int:
@@ -260,22 +344,21 @@ class ExtendibleArray:
         are redundant copies of their buddies.  Returns the axis that was
         halved.
         """
-        if not self._history:
+        old = self._layout
+        if not old.axes:
             raise ValueError("cannot shrink a single-cell array")
-        self._addr_cache = None
-        axis, _before = self._history.pop()
-        self._axis_steps[axis].pop()
-        self._depths[axis] -= 1
+        self._layout = _layout_for(self._dims, old.axes[:-1], old)
         del self._cells[len(self._cells) // 2 :]
-        return axis
+        return old.axes[-1]
 
     def last_grown_axis(self) -> int | None:
         """Axis of the most recent doubling (None for a fresh array)."""
-        return self._history[-1][0] if self._history else None
+        axes = self._layout.axes
+        return axes[-1] if axes else None
 
     def history(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """The doubling history (axis, depths-before) per step."""
-        return tuple(self._history)
+        return self._layout.history
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ExtendibleArray(shape={self.shape})"

@@ -757,7 +757,10 @@ class PageStore:
 
         Pool frames and memory-backend pages are live objects a writer
         will mutate in place — deep-copy them; a byte backend decodes a
-        fresh object per load, which is already private.
+        fresh object per load, which is already private.  The page types
+        (directory nodes, data pages) define ``__deepcopy__`` to copy
+        just what writers mutate and share their immutable parts, so
+        this is not the generic member-by-member walk.
         """
         if self._pool is not None:
             frame = self._pool.peek(page_id, _MISSING)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from copy import deepcopy
 from typing import Any, Iterator
 
 from repro.errors import DuplicateKeyError, KeyNotFoundError, StorageError
 
 KeyCodes = tuple[int, ...]
+
+#: Record value types a copy may share: nothing can mutate them in place.
+_IMMUTABLE = frozenset({int, float, complex, bool, str, bytes, type(None)})
 
 
 class DataPage:
@@ -72,6 +76,24 @@ class DataPage:
         drained = self.records
         self.records = {}
         return drained
+
+    def copy(self, memo: dict[int, Any] | None = None) -> "DataPage":
+        """A private copy for a snapshot: a new records dict, so ``put``,
+        ``remove`` and ``take_all`` on either page never reach the other.
+        Keys and immutable scalar values are shared; any other value is
+        deep-copied (with one ``memo``, so aliasing between records is
+        kept)."""
+        twin = DataPage(self.capacity)
+        if memo is None:
+            memo = {}
+        twin.records = {
+            key: value if type(value) in _IMMUTABLE else deepcopy(value, memo)
+            for key, value in self.records.items()
+        }
+        return twin
+
+    def __deepcopy__(self, memo: dict[int, Any]) -> "DataPage":
+        return self.copy(memo)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DataPage({len(self.records)}/{self.capacity})"

@@ -121,9 +121,11 @@ def _decode_directory(index: Any, data: bytes, version: int = 2) -> None:
         offset = 4
         axes = data[offset : offset + axis_count]
         offset += axis_count
-        array = ExtendibleArray(index.dims, fill=None)
-        for axis in axes:
-            array.grow(axis)
+        if len(axes) < axis_count or 4 << axis_count > len(data) - offset:
+            raise SerializationError(
+                f"snapshot directory too short for 2^{axis_count} cells"
+            )
+        cells: list[Any] = [None] * (1 << axis_count)
         (group_count,) = struct.unpack_from("<I", data, offset)
         offset += 4
         dims = index.dims
@@ -137,8 +139,13 @@ def _decode_directory(index: Any, data: bytes, version: int = 2) -> None:
             addresses = struct.unpack_from(f"<{cell_count}I", data, offset)
             offset += 4 * cell_count
             for address in addresses:
-                array.set_at(address, entry)
-    except struct.error as exc:
+                cells[address] = entry
+        if None in cells:
+            raise SerializationError(
+                f"snapshot directory leaves cell {cells.index(None)} unset"
+            )
+        array = ExtendibleArray.from_history(index.dims, axes, cells)
+    except (struct.error, IndexError, ValueError) as exc:
         raise SerializationError(
             f"corrupt directory stream in snapshot: {exc}"
         ) from exc

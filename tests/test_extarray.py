@@ -223,3 +223,98 @@ class TestRehashGrowth:
             }
         for idx, want in model.items():
             assert arr[idx] == want
+
+
+class TestSharedLayouts:
+    """Addressing tables are interned per doubling history."""
+
+    def test_same_history_shares_one_layout(self):
+        a, b = ExtendibleArray(2), ExtendibleArray(2)
+        for arr in (a, b):
+            arr.grow(0)
+            arr.grow_rehash(1)
+        assert a.layout is b.layout
+        assert ExtendibleArray.from_history(2, [0, 1]).layout is a.layout
+        assert ExtendibleArray(2).layout is not a.layout
+
+    def test_growing_one_array_leaves_its_former_sharers_alone(self):
+        a, b = ExtendibleArray(2, fill=0), ExtendibleArray(2, fill=0)
+        for arr in (a, b):
+            arr.grow(0)
+            arr.grow(1)
+        shared = b.layout
+        mapping = {address: b.index_of(address) for address in range(len(b))}
+        a.grow(1)
+        a.grow_rehash(0)
+        a.shrink_rehash()
+        a.grow(0)
+        a.shrink()
+        a.shrink()
+        a.shrink()
+        assert b.layout is shared
+        assert b.depths == (1, 1) and len(shared.indices) == 4
+        for address, index in mapping.items():
+            assert b.index_of(address) == index
+            assert b.address(index) == address
+        with pytest.raises(IndexError):
+            b.address((0, 2))
+
+    def test_from_history_matches_replayed_growth(self):
+        axes = [1, 0, 0, 1, 2, 0]
+        replayed = ExtendibleArray(3)
+        for axis in axes:
+            replayed.grow(axis)
+        direct = ExtendibleArray.from_history(3, axes)
+        assert direct.depths == replayed.depths
+        assert direct.history() == replayed.history()
+        assert list(direct.indices()) == list(replayed.indices())
+        assert list(direct.cells()) == [None] * 64
+
+    def test_from_history_validation(self):
+        with pytest.raises(ValueError):
+            ExtendibleArray.from_history(2, [0, 2])
+        with pytest.raises(ValueError):
+            ExtendibleArray.from_history(0, [])
+        with pytest.raises(ValueError):
+            ExtendibleArray.from_history(2, [0], cells=[1, 2, 3])
+        arr = ExtendibleArray.from_history(1, [0], cells=["a", "b"])
+        assert arr[(1,)] == "b"
+
+    def test_copy_shares_layout_and_clones_each_value_once(self):
+        arr = ExtendibleArray(1, fill=[0])
+        arr.grow(0)  # both cells hold the same list
+        arr.grow(0, clone=list)
+        twin = arr.copy(clone=list)
+        assert twin.layout is arr.layout
+        for address in range(len(arr)):
+            assert twin.get_at(address) == arr.get_at(address)
+            assert twin.get_at(address) is not arr.get_at(address)
+        assert twin.get_at(0) is twin.get_at(1)
+        assert twin.get_at(2) is not twin.get_at(0)
+        twin.grow(0)
+        assert arr.depths == (2,)
+
+    def test_dropped_one_level_directory_frees_its_tables(self):
+        import gc
+        import random
+        import weakref
+
+        from repro.core.mdeh import MDEH
+        from repro.errors import DuplicateKeyError
+
+        rng = random.Random(7)
+        index = MDEH(3, page_capacity=2, widths=16)
+        refs = []
+        for i in range(400):
+            key = tuple(rng.randrange(1 << 16) for _ in range(3))
+            try:
+                index.insert(key, i)
+            except DuplicateKeyError:
+                continue
+            layout = index._dir.layout
+            if len(layout.axes) >= 6:  # only shapes no other test builds
+                refs.append(weakref.ref(layout))
+        assert len(index._dir) >= 1 << 8 and refs
+        del index, layout
+        gc.collect()
+        assert all(ref() is None for ref in refs)

@@ -55,3 +55,48 @@ class TestNode:
         node = Node(3, (2, 2, 2), level=1)
         node.array.grow(2)
         assert node.depths == (0, 0, 1)
+
+
+class TestNodeCopy:
+    def build(self):
+        node = Node(2, (2, 2), level=3)
+        node.array.set_at(0, DirEntry([0, 0], 1, 7))
+        node.array.grow(0)  # the new cell shares its buddy's entry
+        node.array.grow(1)
+        node.array[(1, 1)] = DirEntry([1, 1], 1, 9, True)
+        return node
+
+    def test_copy_shares_no_entry_and_keeps_buddy_sharing(self):
+        node = self.build()
+        twin = node.copy()
+        assert (twin.level, twin.xi, twin.depths) == (3, (2, 2), (1, 1))
+        assert twin.array.layout is node.array.layout
+        live = {id(entry) for entry in node.entries()}
+        assert not live & {id(entry) for entry in twin.entries()}
+        cells = list(twin.array.cells())
+        assert cells[0] is cells[1] is cells[2]  # one region, three cells
+        assert cells[3] is not cells[0]
+        assert [(c.h, c.m, c.ptr, c.is_node) for c in cells] == [
+            (c.h, c.m, c.ptr, c.is_node) for c in node.array.cells()
+        ]
+
+    def test_writer_mutations_do_not_reach_the_copy(self):
+        node = self.build()
+        twin = node.copy()
+        node.array.get_at(0).h[0] = 5
+        node.array.get_at(0).ptr = 99
+        node.array[(1, 1)] = DirEntry([1, 1], 0, 10)
+        node.array.grow_rehash(0)
+        assert twin.depths == (1, 1)
+        assert twin.array.get_at(0).h == [0, 0]
+        assert twin.array.get_at(0).ptr == 7
+        assert twin.array[(1, 1)].ptr == 9
+
+    def test_deepcopy_uses_the_type_aware_copy(self):
+        import copy
+
+        node = self.build()
+        twin = copy.deepcopy(node)
+        assert twin.array.layout is node.array.layout
+        cells = list(twin.array.cells())
+        assert cells[0] is cells[1] and cells[0] is not node.array.get_at(0)

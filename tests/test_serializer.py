@@ -1,5 +1,7 @@
 """Round-trip tests for the page codecs."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,6 +120,63 @@ class TestNodeCodec:
     def test_corrupt_image(self):
         with pytest.raises(SerializationError):
             NodeCodec().decode_body(b"\x05")
+
+
+def node_body(axes, groups, dims=2, versioned=True):
+    """A hand-built node image body: one entry record per address list."""
+    parts = [
+        b"\x01" if versioned else b"",
+        bytes([1, dims, *[3] * dims, len(axes), *axes]),
+        struct.pack("<I", len(groups)),
+    ]
+    for ptr, addresses in enumerate(groups):
+        parts.append(
+            struct.pack(f"<{dims}BBqBI", *[1] * dims, 0, ptr, 0, len(addresses))
+        )
+        parts.append(struct.pack(f"<{len(addresses)}I", *addresses))
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("codec", [NodeCodec(), LegacyNodeCodec()])
+class TestCorruptNodeImages:
+    """Every corrupt image surfaces as SerializationError, never as a
+    ValueError from the array or a node with ``None`` holes."""
+
+    def decode(self, codec, axes, groups, **kw):
+        return codec.decode_body(
+            memoryview(node_body(axes, groups, versioned=codec._versioned, **kw))
+        )
+
+    def test_well_formed_image_decodes(self, codec):
+        node = self.decode(codec, [0, 1], [[0, 1], [2, 3]])
+        assert node.array.depths == (1, 1)
+        assert [e.ptr for e in node.array.cells()] == [0, 0, 1, 1]
+
+    def test_growth_axis_out_of_range(self, codec):
+        with pytest.raises(SerializationError):
+            self.decode(codec, [0, 2], [[0, 1], [2, 3]])
+
+    def test_unset_cell(self, codec):
+        with pytest.raises(SerializationError, match="unset"):
+            self.decode(codec, [0, 1], [[0, 1], [3]])
+
+    def test_address_beyond_history(self, codec):
+        with pytest.raises(SerializationError):
+            self.decode(codec, [0, 1], [[0, 1], [2, 4]])
+
+    def test_truncated_group(self, codec):
+        body = node_body([0, 1], [[0, 1], [2, 3]], versioned=codec._versioned)
+        for cut in (len(body) - 1, len(body) - 8, len(body) - 20):
+            with pytest.raises(SerializationError):
+                codec.decode_body(body[:cut])
+
+    def test_step_count_beyond_image(self, codec):
+        with pytest.raises(SerializationError, match="too short"):
+            self.decode(codec, [0] * 40, [[0]])
+
+    def test_zero_dims(self, codec):
+        with pytest.raises(SerializationError):
+            self.decode(codec, [], [[0]], dims=0)
 
 
 class TestCodecRegistry:
@@ -319,6 +378,51 @@ class TestNodeCodecProperties:
         body[0] = 99
         with pytest.raises(SerializationError):
             NodeCodec().decode_body(bytes(body))
+
+
+@st.composite
+def reshaped_nodes(draw):
+    """A node whose history mixes grow, grow_rehash, shrink and
+    shrink_rehash, with regions refined in between (so both buddy
+    sharing and fresh entries appear)."""
+    dims = draw(st.integers(1, 3))
+    node = Node(dims, (3,) * dims, level=1)
+    node.array.set_at(0, DirEntry([0] * dims, 0, 0))
+    ops = st.sampled_from(
+        ["grow", "grow_rehash", "shrink", "shrink_rehash", "refine"]
+    )
+    for step, op in enumerate(draw(st.lists(ops, max_size=10))):
+        array = node.array
+        if op in ("grow", "grow_rehash") and len(array) < 64:
+            getattr(array, op)(draw(st.integers(0, dims - 1)))
+        elif op in ("shrink", "shrink_rehash") and len(array) > 1:
+            getattr(array, op)()
+        elif op == "refine":
+            address = draw(st.integers(0, len(array) - 1))
+            array.set_at(address, DirEntry([step % 4] * dims, 0, step + 1))
+    return node
+
+
+def sharing_partition(array):
+    """Each cell's first address holding the same entry object."""
+    first = {}
+    return [first.setdefault(id(cell), a) for a, cell in enumerate(array.cells())]
+
+
+class TestReshapedNodeRoundtrip:
+    @given(reshaped_nodes())
+    def test_addressing_and_sharing_survive(self, node):
+        codec = NodeCodec()
+        back = codec.decode_body(memoryview(codec.encode_body(node)))
+        assert back.array.history() == node.array.history()
+        assert back.array.layout is node.array.layout
+        for address in range(len(node.array)):
+            index = node.array.index_of(address)
+            assert back.array.index_of(address) == index
+            assert back.array.address(index) == address
+            a, b = node.array.get_at(address), back.array.get_at(address)
+            assert (a.h, a.m, a.ptr, a.is_node) == (b.h, b.m, b.ptr, b.is_node)
+        assert sharing_partition(back.array) == sharing_partition(node.array)
 
 
 @st.composite

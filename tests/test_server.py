@@ -788,7 +788,11 @@ class TestRequestIdWraparound:
 
 
 class TestAdmissionUnderflow:
-    def test_double_release_clamps_at_zero(self):
+    # The clamp tests exercise production behaviour; sanitized runs
+    # escalate an underflow by design, so they pin sanitize off.
+
+    def test_double_release_clamps_at_zero(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         admission = AdmissionController(max_inflight=4, per_session=2)
         assert admission.try_admit(1) is None
         admission.release(1)
@@ -800,7 +804,10 @@ class TestAdmissionUnderflow:
             assert admission.try_admit(session) is None
         assert admission.try_admit(5) == "busy"
 
-    def test_release_for_a_session_holding_nothing_is_ignored(self):
+    def test_release_for_a_session_holding_nothing_is_ignored(
+        self, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         admission = AdmissionController(max_inflight=4, per_session=2)
         assert admission.try_admit(1) is None
         # session 2 never admitted anything; its spurious release must
@@ -811,7 +818,8 @@ class TestAdmissionUnderflow:
         admission.release(1)
         assert admission.inflight == 0
 
-    def test_seeded_interleaving_never_corrupts_the_budget(self):
+    def test_seeded_interleaving_never_corrupts_the_budget(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         # Reproducer for the production shape: racing session teardowns
         # firing releases that sometimes lack a matching admit.
         rng = random.Random(20260807)
@@ -842,6 +850,20 @@ class TestAdmissionUnderflow:
         admission.release(1)
         with pytest.raises(InvariantViolation):
             admission.release(1)
+
+    def test_sanitized_spurious_release_names_admission_balance(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        from repro.errors import InvariantViolation
+
+        admission = AdmissionController(max_inflight=2, per_session=2)
+        assert admission.try_admit(1) is None
+        with pytest.raises(InvariantViolation) as caught:
+            admission.release(2)  # session 2 holds nothing
+        assert caught.value.invariant == "admission-balance"
+        assert admission.underflows == 1
+        assert admission.inflight == 1  # session 1's slot is untouched
 
 
 async def _canned_reply_server(replies):

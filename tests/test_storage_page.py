@@ -71,3 +71,44 @@ class TestDataPage:
         page.put((2,), "b")
         assert dict(page.items()) == {(1,): "a", (2,): "b"}
         assert sorted(page.keys()) == [(1,), (2,)]
+
+
+class TestDataPageCopy:
+    def build(self):
+        page = DataPage(4)
+        page.put((1, 1), "a")
+        page.put((2, 2), 7)
+        page.put((3, 3), [1, 2])
+        return page
+
+    def test_copy_is_isolated_from_put_remove_and_take_all(self):
+        page = self.build()
+        twin = page.copy()
+        page.put((4, 4), "new")
+        page.remove((1, 1))
+        page.put((2, 2), 8, replace=True)
+        assert dict(twin.items()) == {(1, 1): "a", (2, 2): 7, (3, 3): [1, 2]}
+        page.take_all()
+        assert len(twin) == 3 and twin.capacity == 4
+        twin.put((5, 5), "t")
+        assert len(page) == 0
+
+    def test_immutable_values_shared_mutable_values_copied(self):
+        page = self.build()
+        twin = page.copy()
+        assert twin.get((1, 1)) is page.get((1, 1))
+        assert twin.get((3, 3)) == [1, 2]
+        assert twin.get((3, 3)) is not page.get((3, 3))
+        page.get((3, 3)).append(3)
+        assert twin.get((3, 3)) == [1, 2]
+
+    def test_aliasing_between_records_is_kept(self):
+        import copy
+
+        shared = {"x": 1}
+        page = DataPage(4)
+        page.put((1,), shared)
+        page.put((2,), shared)
+        twin = copy.deepcopy(page)
+        assert twin.get((1,)) is twin.get((2,))
+        assert twin.get((1,)) is not shared
