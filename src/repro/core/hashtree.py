@@ -97,6 +97,7 @@ class HashTreeBase(MultidimensionalIndex):
         root.array.set_at(0, DirEntry([0] * dims, dims - 1, None))
         self._root_id = self._store.allocate(root)
         self._store.pin(self._root_id)
+        self._store.track_root(self)
         self._node_count = 1
         self._data_pages = 0
 
@@ -183,7 +184,7 @@ class HashTreeBase(MultidimensionalIndex):
         (``_grow_directory``, delete-side collapses).
         """
         path: list[_Step] = []
-        node_id = self._root_id
+        node_id = self._store.root(self, self._root_id)
         consumed = (0,) * self._dims
         live = True
         widths = self._widths
@@ -674,7 +675,8 @@ class HashTreeBase(MultidimensionalIndex):
         order is deterministic.
         """
         yield from self._leaf_tasks_node(
-            self._root_id, (0,) * self._dims, lows, highs
+            self._store.root(self, self._root_id), (0,) * self._dims,
+            lows, highs,
         )
 
     def _leaf_tasks_node(
@@ -761,7 +763,9 @@ class HashTreeBase(MultidimensionalIndex):
 
     def items(self) -> Iterator[Record]:
         with self._store.operation():
-            yield from self._items_under(self._root_id)
+            yield from self._items_under(
+                self._store.root(self, self._root_id)
+            )
 
     def _items_under(self, node_id: int) -> Iterator[Record]:
         node = self._store.read(node_id)

@@ -213,6 +213,7 @@ class KDBTree(MultidimensionalIndex):
         )
         self._root_id = self._store.allocate(root)
         self._store.pin(self._root_id)
+        self._store.track_root(self)
         self._region_pages = 1
         self._data_pages = 0
 
@@ -258,7 +259,7 @@ class KDBTree(MultidimensionalIndex):
 
     def _descend(self, codes: KeyCodes) -> list[tuple[int, _RegionPage, _Entry]]:
         path = []
-        page_id = self._root_id
+        page_id = self._store.root(self, self._root_id)
         while True:
             page = self._store.read(page_id)
             entry = page.locate(codes)
@@ -467,7 +468,9 @@ class KDBTree(MultidimensionalIndex):
         if any(lo > hi for lo, hi in zip(lows, highs)):
             return
         with self._store.operation():
-            yield from self._range_page(self._root_id, lows, highs)
+            yield from self._range_page(
+                self._store.root(self, self._root_id), lows, highs
+            )
 
     def _range_page(self, page_id, lows, highs) -> Iterator[Record]:
         page = self._store.read(page_id)
@@ -486,7 +489,9 @@ class KDBTree(MultidimensionalIndex):
 
     def items(self) -> Iterator[Record]:
         with self._store.operation():
-            yield from self._items_under(self._root_id)
+            yield from self._items_under(
+                self._store.root(self, self._root_id)
+            )
 
     def _items_under(self, page_id) -> Iterator[Record]:
         page = self._store.read(page_id)

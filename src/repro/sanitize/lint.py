@@ -45,12 +45,14 @@ Four rules, each guarding an invariant the runtime sanitizer cannot see:
   store mutator (``allocate`` / ``free`` / ``mark_dirty``), or
   ``.write()`` on a store/index-named receiver.  A read replica's state
   must change **only** by applying the primary's committed WAL batches
-  through ``WALBackend.apply_replicated`` — any other mutation forks
-  the follower's state from the primary's history, and the divergence
-  survives promotion.  The mirror of REP106: that rule keeps served
+  through ``PageStore.apply_replicated`` (which preserves versions for
+  open snapshots, then calls ``WALBackend.apply_replicated``) — any
+  other mutation forks the follower's state from the primary's
+  history, and the divergence survives promotion.  The mirror of REP106: that rule keeps served
   mutations inside the aggregator; this one keeps replicas read-only.
 
-Run via ``repro lint`` (exit 1 on findings) or ``repro check``.
+Run via ``repro lint`` (exit 1 on findings) or ``repro check``;
+``repro analyze`` applies REP107 and REP108 with the same scoping.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ class _Linter(ast.NodeVisitor):
                     f"replica code calls .{method}() — a read replica's "
                     "state changes only by replaying the primary's "
                     "committed batches through "
-                    "WALBackend.apply_replicated(); any direct mutation "
+                    "PageStore.apply_replicated(); any direct mutation "
                     "forks the follower from the primary's history",
                 )
         if self.check_hot_json:
@@ -377,6 +379,21 @@ def lint_source(
     return sorted(linter.issues, key=lambda i: (i.line, i.col, i.code))
 
 
+def hot_json_scoped(path: str) -> bool:
+    """Whether REP107 applies to the file at ``path``: service-layer
+    code minus the JSON allow-list."""
+    posix = path.replace("\\", "/")
+    return "/server/" in posix and not any(
+        posix.endswith(a) for a in SERVER_JSON_ALLOWED
+    )
+
+
+def replica_scoped(path: str) -> bool:
+    """Whether REP108 applies to the file at ``path``: the follower
+    code path only."""
+    return path.replace("\\", "/").endswith("server/replica.py")
+
+
 def lint_paths(paths: Sequence[str | Path] | None = None) -> list[LintIssue]:
     """Lint files or directory trees (default: the installed ``repro``).
 
@@ -402,10 +419,6 @@ def lint_paths(paths: Sequence[str | Path] | None = None) -> list[LintIssue]:
         check_server_mutation = in_server and not any(
             posix.endswith(a) for a in SERVER_MUTATION_ALLOWED
         )
-        check_hot_json = in_server and not any(
-            posix.endswith(a) for a in SERVER_JSON_ALLOWED
-        )
-        check_replica_mutation = posix.endswith("server/replica.py")
         try:
             source = file.read_text(encoding="utf-8")
         except OSError as exc:
@@ -420,8 +433,8 @@ def lint_paths(paths: Sequence[str | Path] | None = None) -> list[LintIssue]:
                 check_backend=check_backend,
                 check_annotations=check_annotations,
                 check_server_mutation=check_server_mutation,
-                check_hot_json=check_hot_json,
-                check_replica_mutation=check_replica_mutation,
+                check_hot_json=hot_json_scoped(str(file)),
+                check_replica_mutation=replica_scoped(str(file)),
             )
         )
     return issues

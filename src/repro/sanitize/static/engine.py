@@ -14,6 +14,9 @@ Rule scoping by path:
 * REP104 — ``core/`` only (unchanged);
 * typed REP106 — ``server/`` minus the write aggregator (unchanged
   scope, typed receiver);
+* REP107 / REP108 — the legacy rules, scoped exactly as ``repro lint``
+  scopes them (``server/`` minus the JSON allow-list; the follower
+  module ``server/replica.py``);
 * REP2xx / REP3xx — everywhere the analyzer is pointed, including
   ``tests/`` and ``benchmarks/``: latch leaks and blocked event loops
   in test code deadlock CI just as hard.
@@ -30,7 +33,9 @@ from repro.sanitize.lint import (
     BACKEND_ALLOWED,
     SERVER_MUTATION_ALLOWED,
     LintIssue,
+    hot_json_scoped,
     lint_source,
+    replica_scoped,
     repo_source_root,
 )
 from repro.sanitize.static.lockorder import LockOrderAnalyzer, LockOrderGraph
@@ -159,6 +164,8 @@ def _analyze_one(
                 check_backend=False,
                 check_annotations=check_annotations,
                 check_server_mutation=False,
+                check_hot_json=hot_json_scoped(path),
+                check_replica_mutation=replica_scoped(path),
             )
         )
     issues.extend(analyze_module(tree, path, scope))

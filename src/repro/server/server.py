@@ -8,9 +8,9 @@ layer expects:
 * **reads fan out** — point lookups run on a thread-pool executor under
   the service gate's shared side plus the store latch's shared side
   (with a timeout: a stuck writer is a ``latch-timeout`` backpressure
-  reply, not a hang); range queries may additionally fan per-page scans
-  through :func:`~repro.core.rangequery.scan_parallel`, whose workers
-  read via :meth:`~repro.storage.disk.PageStore.read_shared`;
+  reply, not a hang); range queries read an MVCC snapshot opened at a
+  window boundary and run latch-free, optionally fanning per-page scans
+  through :func:`~repro.core.rangequery.scan_parallel`;
 * **writes serialize and coalesce** — every mutation flows through the
   :class:`~repro.server.aggregator.WriteAggregator` (enforced by lint
   rule REP106), which holds the gate's exclusive side per coalesced
@@ -146,8 +146,7 @@ class QueryServer:
         #: and the dedup ledgers are all single-threaded (the same
         #: discipline as ``PageStore.read_shared``'s internal lock).
         #: The fan-out win is at the wire level — parse/encode/framing
-        #: overlap — and inside parallel range scans, whose workers
-        #: serialize on ``read_shared`` themselves.
+        #: overlap; range scans read snapshots and skip this mutex.
         self._read_mutex = threading.Lock()
         self._executor = ThreadPoolExecutor(
             max_workers=max(2, read_workers),
@@ -399,41 +398,35 @@ class QueryServer:
         lows, highs, parallelism = range_fields(payload)
         if parallelism is None:
             parallelism = self._range_parallelism
-        use_snapshot = True
-        if payload.get("snapshot") is not None:
-            use_snapshot = bool(payload["snapshot"])
 
-        def scan() -> Any:
+        def scan(file: MultiKeyFile) -> Any:
             records = [
                 [list(key), value]
-                for key, value in self._file.range_search(
+                for key, value in file.range_search(
                     lows, highs, parallelism=parallelism
                 )
             ]
             return {"items": records, "count": len(records)}
 
-        if use_snapshot:
-            return await self._read_at_snapshot(scan)
-        # Legacy gated path (``snapshot: false``): the scan holds the
-        # gate's shared side for its whole duration, blocking writers.
-        # A fanned-out scan takes the latch's shared side per page read
-        # (scan_parallel -> read_shared) from its own workers; holding
-        # the outer latch here as well could deadlock against a
-        # writer-preference claim, so the gate alone excludes writers.
-        return await self._run_read(
-            scan, latched=not (parallelism and parallelism > 1)
-        )
+        return await self._read_at_snapshot(scan)
 
-    async def _read_at_snapshot(self, fn: Callable[[], Any]) -> Any:
+    async def _read_at_snapshot(
+        self, fn: Callable[[MultiKeyFile], Any]
+    ) -> Any:
         """The MVCC read path: pin a snapshot at a committed window
         boundary (the gate's shared side covers only the *open*, which
         is cheap), then run ``fn`` latch-free against the pinned page
         versions with the gate released — a long scan never blocks the
         write aggregator, and a write storm can never turn the scan into
-        a ``latch-timeout``."""
+        a ``latch-timeout``.
+
+        ``fn`` receives the file served when the snapshot opened: a
+        replica swaps in a new file object per applied batch, and the
+        scan must walk the index that matches its pinned pages."""
         loop = asyncio.get_running_loop()
-        store = self._file.store
         async with self._gate.read_locked():
+            file = self._file
+            store = file.store
             snap = await loop.run_in_executor(
                 self._executor,
                 lambda: store.snapshot(timeout=self._latch_timeout),
@@ -442,7 +435,7 @@ class QueryServer:
 
             def run() -> Any:
                 with snap.reading():
-                    return fn()
+                    return fn(file)
 
             result = await loop.run_in_executor(self._executor, run)
         finally:
@@ -457,14 +450,17 @@ class QueryServer:
         codec = self._file.codec
         return interleave(codec.encode(key), codec.widths)
 
-    def _migration_snapshot(self) -> list[tuple[int, list[Any], Any]]:
+    @staticmethod
+    def _migration_snapshot(
+        file: MultiKeyFile,
+    ) -> list[tuple[int, list[Any], Any]]:
         """Every record as ``(z, key, value)`` — run through
         :meth:`_read_at_snapshot`, so the iteration sees one pinned MVCC
         state and never blocks (or is blocked by) the write window."""
-        codec = self._file.codec
+        codec = file.codec
         widths = codec.widths
         out: list[tuple[int, list[Any], Any]] = []
-        for codes, value in self._file.index.items():
+        for codes, value in file.index.items():
             out.append(
                 (interleave(tuple(codes), widths), list(codec.decode(codes)),
                  value)

@@ -7,6 +7,7 @@ import copy
 import os
 import struct
 import threading
+import weakref
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
 
@@ -254,16 +255,24 @@ class StoreSnapshot:
     ``store.read()`` calls transparently resolve against this snapshot.
     """
 
-    __slots__ = ("_store", "epoch", "_live", "_closed")
+    __slots__ = ("_store", "epoch", "_live", "_roots", "_closed")
 
     def __init__(
-        self, store: "PageStore", epoch: int, live_ids: frozenset[int]
+        self,
+        store: "PageStore",
+        epoch: int,
+        live_ids: frozenset[int],
+        roots: dict[Any, int],
     ) -> None:
         self._store = store
         #: The pinned version epoch: every page whose content was
         #: committed at or before this epoch is visible.
         self.epoch = epoch
         self._live = live_ids
+        #: Each tracked index's root id at open (see
+        #: :meth:`PageStore.root`): a root split moves the live root to
+        #: a page born after the snapshot.
+        self._roots = roots
         self._closed = False
 
     @property
@@ -377,6 +386,8 @@ class PageStore:
         self._versions: dict[int, list[tuple[int, Any]]] = {}
         #: Thread-local snapshot overlay (see :meth:`StoreSnapshot.reading`).
         self._tls = threading.local()
+        #: Indexes whose root id every snapshot captures at open.
+        self._root_holders: "weakref.WeakSet[Any]" = weakref.WeakSet()
         existing = list(self._backend.page_ids())
         self._next_id = max(existing) + 1 if existing else 0
         self._live = len(existing)
@@ -678,6 +689,36 @@ class PageStore:
         self.flush()
         self._backend.close()
 
+    def apply_replicated(
+        self,
+        ops: list[tuple[str, int, bytes | None]],
+        metadata: bytes | None = None,
+    ) -> None:
+        """Apply one shipped batch on a follower through its backend's
+        :meth:`~repro.storage.wal.WALBackend.apply_replicated`, the only
+        channel a replica's state changes by.
+
+        Every page the batch stores or discards is first preserved and
+        stamped for open snapshots, exactly as :meth:`write` and
+        :meth:`free` do, so a snapshot scan on the follower keeps its
+        open-time view while batches land.
+        """
+        with self._latch.write(), self._frame_lock:
+            for op, page_id, _ in ops:
+                existed = page_id in self._backend
+                if self._pinned_epochs:
+                    self._preserve(page_id)
+                    self._page_stamp[page_id] = self._mvcc_epoch
+                if op == "discard":
+                    if existed:
+                        self._live -= 1
+                    continue
+                if not existed:
+                    self._live += 1
+                    self._next_id = max(self._next_id, page_id + 1)
+                self.backend_stats.writes += 1
+            self._backend.apply_replicated(ops, metadata)  # type: ignore[attr-defined]
+
     # -- MVCC snapshots ----------------------------------------------------
 
     def snapshot(self, timeout: float | None = None) -> StoreSnapshot:
@@ -706,12 +747,27 @@ class PageStore:
                     self._pinned_epochs.get(epoch, 0) + 1
                 )
                 live = frozenset(self.page_ids())
+                roots = {index: index.root_id for index in self._root_holders}
                 # Pinned pages (the root) may be mutated through a
                 # retained reference before any store access re-touches
                 # them; preserve their open-time state eagerly.
                 for page_id in self._pinned:
                     self._preserve(page_id)
-        return StoreSnapshot(self, epoch, live)
+        return StoreSnapshot(self, epoch, live, roots)
+
+    def track_root(self, index: Any) -> None:
+        """Register a paged index (anything with a ``root_id``) whose
+        root every later snapshot captures at open."""
+        self._root_holders.add(index)
+
+    def root(self, index: Any, live_root: int) -> int:
+        """The page a traversal of ``index`` starts from on this thread:
+        inside a snapshot overlay, the root it had when the snapshot
+        opened; otherwise ``live_root``."""
+        snap = getattr(self._tls, "snapshot", None)
+        if snap is None:
+            return live_root
+        return snap._roots.get(index, live_root)
 
     def current_snapshot(self) -> StoreSnapshot | None:
         """The snapshot overlay active on *this* thread, if any (set by

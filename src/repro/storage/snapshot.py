@@ -251,9 +251,12 @@ def load_index(
             directory = _read_exact(inp, dir_len, "directory stream")
     finally:
         inp.close()
-    return restore_from_metadata(
+    index = restore_from_metadata(
         meta, store, directory, directory_version=version
     )
+    store.stats.reset()
+    store.backend_stats.reset()
+    return index
 
 
 def restore_from_metadata(
@@ -269,8 +272,10 @@ def restore_from_metadata(
     (:func:`repro.storage.wal.recover_index`): ``store`` already holds
     the pages, ``meta`` is the :func:`index_metadata` dict, and
     ``directory`` is the encoded directory stream for one-level schemes.
-    Both I/O ledgers are reset — a freshly restored index has performed
-    no accountable work yet.
+    The store's I/O ledgers are left alone: a follower rebuilds its
+    index over the same store after every replicated batch, and its
+    counters must keep counting.  Callers opening a fresh store reset
+    them.
     """
     from repro.core import BMEHTree, BalancedBinaryTrie, MDEH, MEHTree
     from repro.core.ehash import ExtendibleHashFile
@@ -294,8 +299,6 @@ def restore_from_metadata(
         index = _restore_onelevel(
             cls, meta, store, directory, version=directory_version
         )
-    index.store.stats.reset()
-    index.store.backend_stats.reset()
     return index
 
 
@@ -314,6 +317,7 @@ def _restore_tree(index: Any, cls: type, meta: dict, store: PageStore) -> None:
     index._store = store
     index._root_id = meta["root_id"]
     store.pin(index._root_id)
+    store.track_root(index)
     index._node_count = meta["node_count"]
     index._data_pages = meta["data_pages"]
     index._num_keys = meta["num_keys"]

@@ -660,6 +660,8 @@ def recover_index(
         pool = BufferPool(pool_capacity)
     store = PageStore(backend, pool=pool)
     index = restore_from_metadata(meta, store, directory)
+    store.stats.reset()
+    store.backend_stats.reset()
     # The recovered store serves this index alone: enable the
     # sanitizer's page-leak census over it.
     index._owns_store = True

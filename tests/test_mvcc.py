@@ -207,13 +207,6 @@ def test_node_split_under_open_snapshot_keeps_the_snapshot_view(kind, tmp_path):
     assert store.preserved_versions == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=StorageError,
-    reason="known defect: a root split moves the index's live root id to "
-    "a page born after the snapshot, so an index traversal inside "
-    "snap.reading() leaves the snapshot's page set",
-)
 def test_index_scan_under_snapshot_survives_root_growth(tmp_path):
     store, index, keys = _split_heavy_tree("memory", tmp_path)
     with store.snapshot() as snap:
@@ -224,6 +217,61 @@ def test_index_scan_under_snapshot_survives_root_growth(tmp_path):
         with snap.reading():
             frozen = sorted(value for _, value in index.items())
         assert frozen == list(range(40))
+
+
+def test_kdb_scan_under_snapshot_survives_root_growth():
+    from repro.kdb.kdbtree import KDBTree
+
+    store = PageStore()
+    index = KDBTree(2, page_capacity=2, widths=12, store=store,
+                    region_capacity=3)
+    keys = random.Random(5).sample(
+        [(x, y) for x in range(64) for y in range(64)], 240
+    )
+    for i, key in enumerate(keys[:20]):
+        index.insert(key, i)
+    with store.snapshot() as snap:
+        root_before = index.root_id
+        for i, key in enumerate(keys[20:], start=20):
+            index.insert(key, i)
+        assert index.root_id != root_before
+        with snap.reading():
+            assert sorted(v for _, v in index.items()) == list(range(20))
+            box = [k for k in keys[:20] if k[0] < 32]
+            found = sorted(v for _, v in index.range_search((0, 0), (31, 63)))
+            assert found == sorted(keys.index(k) for k in box)
+
+
+def test_replicated_apply_keeps_the_snapshot_view(tmp_path):
+    # A follower's only mutation channel preserves what open snapshots
+    # see, like write() and free() do on a primary.
+    primary = WALBackend(str(tmp_path / "primary.pages"))
+    tap = primary.attach_tap()
+    follower = PageStore(WALBackend(str(tmp_path / "follower.pages")))
+
+    def ship() -> None:
+        primary.flush()
+        for batch in tap.drain():
+            follower.apply_replicated(batch["ops"], batch["meta"])
+
+    primary.store(0, page(((1, 1), "a")))
+    primary.store(1, page(((2, 2), "b")))
+    ship()
+    assert follower.page_count == 2
+    with follower.snapshot() as snap:
+        primary.store(0, page(((1, 1), "a2")))
+        primary.discard(1)
+        primary.store(2, page(((3, 3), "c")))
+        ship()
+        assert dict(snap.read(0).items()) == {(1, 1): "a"}
+        assert dict(snap.read(1).items()) == {(2, 2): "b"}
+        assert 2 not in snap
+        assert dict(follower.read(0).items()) == {(1, 1): "a2"}
+        assert 1 not in follower
+    assert follower.preserved_versions == 0
+    assert follower.page_count == 2
+    primary.close()
+    follower.close()
 
 
 # -- the concurrency property ---------------------------------------------

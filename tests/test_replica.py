@@ -20,21 +20,28 @@ and replica processes:
 """
 
 import asyncio
+import contextlib
 import random
 
 import pytest
 
-from repro.errors import ShardDownError
+from repro import KeyCodec, UIntEncoder
+from repro.core import MultiKeyFile
+from repro.errors import ProtocolError, ShardDownError
 from repro.sanitize import check_structure
-from repro.server import QueryClient, ShardManager
+from repro.server import QueryClient, QueryServer, ShardManager
 from repro.server.client import RemoteError
+from repro.server.protocol import Opcode
 from repro.server.replica import (
     PROMOTION_PHASES,
+    ReplicaConfig,
     ReplicaManager,
+    ReplicaServer,
     promote,
 )
 from repro.server.router import ShardRouter
-from repro.storage import recover_index
+from repro.server.session import INLINE_MISS
+from repro.storage import PageStore, WALBackend, recover_index
 
 DIMS = 2
 WIDTH = 16
@@ -175,6 +182,226 @@ class TestReplicaServing:
         finally:
             replicas.stop()
             manager.stop()
+
+
+# ---------------------------------------------------------------------------
+# a follower connection, in process: the replica role of QueryServer
+
+MARKER = 9999  # first key coordinate reserved for commit markers
+TOP = (1 << WIDTH) - 1
+
+
+@contextlib.asynccontextmanager
+async def primary_and_follower(tmp_path, preload, max_lag=64):
+    """A WAL-backed primary with a split-happy BMEH index (two-record
+    pages, a four-cell root), one in-process follower of it, a client
+    of each, and the follower server itself."""
+    codec = KeyCodec([UIntEncoder(WIDTH), UIntEncoder(WIDTH)])
+    store = PageStore(WALBackend(str(tmp_path / "primary.pages")))
+    primary = QueryServer(
+        MultiKeyFile(codec, page_capacity=2, store=store, xi=(1, 1))
+    )
+    await primary.start()
+    host, port = primary.address
+    writer = await QueryClient.connect(host, port, negotiate=True)
+    await writer.insert_many(preload)
+    config = ReplicaConfig(
+        shard=0, replica=0, widths=(WIDTH, WIDTH),
+        page_capacity=2, wal_path=str(tmp_path / "follower.pages"),
+        primary_host=host, primary_port=port, host="127.0.0.1",
+        poll_interval=0.005, max_lag=max_lag, max_inflight=64,
+        session_pipeline=16, read_workers=2,
+    )
+    follower = await ReplicaServer.open(config)
+    direct = await QueryClient.connect(*follower.address, negotiate=True)
+    try:
+        yield primary, writer, follower, direct
+    finally:
+        await direct.close()
+        await follower.shutdown()
+        await writer.close()
+        await primary.shutdown()
+        await asyncio.get_running_loop().run_in_executor(None, store.close)
+
+
+async def caught_up(primary, follower, deadline=10.0):
+    lsn = primary.file.store.backend.lsn
+    end = asyncio.get_running_loop().time() + deadline
+    while follower.applied_lsn < lsn:
+        assert asyncio.get_running_loop().time() < end, "follower stuck"
+        await asyncio.sleep(0.005)
+
+
+def preload_pairs(n=8):
+    return [((k, k + 1), k) for k in range(n)]
+
+
+class TestDirectReplica:
+    def test_mutations_are_read_only(self, tmp_path):
+        async def scenario():
+            async with primary_and_follower(
+                tmp_path, preload_pairs()
+            ) as (primary, _, follower, direct):
+                await caught_up(primary, follower)
+                before = await direct.stats()
+                for call in (
+                    lambda: direct.insert((1, 2), "nope"),
+                    lambda: direct.delete((0, 1)),
+                    lambda: direct.insert_many([((3, 4), 1)]),
+                    lambda: direct.delete_many([(0, 1)]),
+                ):
+                    with pytest.raises(RemoteError) as err:
+                        await call()
+                    assert err.value.code == "read-only"
+                after = await direct.stats()
+                assert after["keys"] == before["keys"] == 8
+                assert (
+                    after["replica"]["applied_lsn"]
+                    == before["replica"]["applied_lsn"]
+                )
+                assert await direct.search((0, 1)) == 0
+                assert len(await direct.range_search((0, 0), (TOP, TOP))) == 8
+
+        run(scenario())
+
+    def test_primary_only_opcodes_are_bad_opcode(self, tmp_path):
+        async def scenario():
+            async with primary_and_follower(
+                tmp_path, preload_pairs()
+            ) as (_, _, _, direct):
+                for call in (
+                    lambda: direct.migrate("begin", z_low=0, z_high=1),
+                    lambda: direct.repl("hello"),
+                    lambda: direct.route((1, 2)),
+                ):
+                    with pytest.raises(ProtocolError) as err:
+                        await call()
+                    assert err.value.code == "bad-opcode"
+
+        run(scenario())
+
+    def test_ping_topology_stats_report_the_replica_role(self, tmp_path):
+        async def scenario():
+            async with primary_and_follower(
+                tmp_path, preload_pairs()
+            ) as (_, writer, follower, direct):
+                assert (await writer.ping())["role"] == "server"
+                assert (await direct.ping())["role"] == "replica"
+                topo = await direct.topology()
+                assert topo["role"] == "replica"
+                assert topo["shards"] == []
+                stats = await direct.stats()
+                assert stats["role"] == "replica"
+                assert stats["replica"]["shard"] == 0
+                # A fresh follower answers point reads on the inline
+                # lane, like a primary.
+                reply = follower.try_dispatch_inline(
+                    Opcode.SEARCH, {"key": [2, 3]}
+                )
+                assert reply is not INLINE_MISS
+                assert reply == {"value": 2}
+
+        run(scenario())
+
+    def test_stale_replica_refuses_inline_search(self, tmp_path):
+        async def scenario():
+            async with primary_and_follower(
+                tmp_path, preload_pairs(), max_lag=0
+            ) as (primary, writer, follower, direct):
+                await caught_up(primary, follower)
+                # The tail keeps polling the primary's LSN but never
+                # applies: every committed write leaves it further behind.
+                follower._apply_batches = lambda batches: None
+                await writer.insert((50, 50), 1)
+                for _ in range(1000):
+                    if (await direct.stats())["replica"]["lag"] > 0:
+                        break
+                    await asyncio.sleep(0.005)
+                with pytest.raises(ProtocolError) as err:
+                    follower.try_dispatch_inline(
+                        Opcode.SEARCH, {"key": [0, 1]}
+                    )
+                assert err.value.code == "replica-stale"
+                for call in (
+                    lambda: direct.search((0, 1)),
+                    lambda: direct.search_many([(0, 1)]),
+                    lambda: direct.range_search((0, 0), (TOP, TOP)),
+                ):
+                    with pytest.raises(RemoteError) as err:
+                        await call()
+                    assert err.value.code == "replica-stale"
+
+        run(scenario())
+
+    def test_range_while_batches_apply_is_a_marker_prefix(self, tmp_path):
+        # Every commit inserts the next marker, so a consistent scan
+        # holds markers 0..k-1 with no gap — also across the primary's
+        # root splits, which move the root of the follower's index.
+        rng = random.Random(3)
+
+        async def scenario():
+            async with primary_and_follower(
+                tmp_path, [((MARKER + 1, 0), -1)]
+            ) as (primary, writer, follower, direct):
+                await caught_up(primary, follower)
+                primary_root = primary.file.index.root_id
+                follower_root = follower.file.index.root_id
+                done = asyncio.Event()
+                seen: list[int] = []
+
+                async def scan():
+                    while not done.is_set():
+                        items = await direct.range_search((0, 0), (TOP, TOP))
+                        markers = sorted(
+                            key[1] for key, _ in items if key[0] == MARKER
+                        )
+                        assert markers == list(range(len(markers)))
+                        seen.append(len(markers))
+
+                scanner = asyncio.create_task(scan())
+                for i in range(60):
+                    await writer.insert((MARKER, i), i)
+                    await writer.insert(
+                        (rng.randrange(MARKER), rng.randrange(TOP)), i
+                    )
+                await caught_up(primary, follower)
+                done.set()
+                await scanner
+                assert primary.file.index.root_id != primary_root
+                assert follower.file.index.root_id != follower_root
+                assert seen == sorted(seen) and len(seen) > 1
+                items = await direct.range_search((0, 0), (TOP, TOP))
+                markers = [key[1] for key, _ in items if key[0] == MARKER]
+                assert sorted(markers) == list(range(60))
+
+        run(scenario())
+
+    def test_follower_pins_one_root_and_counts_monotonically(self, tmp_path):
+        keys = seeded_keys(40, seed=5)
+
+        async def scenario():
+            async with primary_and_follower(
+                tmp_path, [(keys[0], 0)]
+            ) as (primary, writer, follower, direct):
+                root = primary.file.index.root_id
+                await writer.insert_many(
+                    [(k, i) for i, k in enumerate(keys[1:])]
+                )
+                assert primary.file.index.root_id != root  # a root split
+                reads, writes = [], []
+                for i in range(4):
+                    await writer.insert((i, TOP), i)
+                    await caught_up(primary, follower)
+                    store = follower.file.store
+                    assert store.pinned_ids() == {follower.file.index.root_id}
+                    await direct.search_many(keys)
+                    ledger = (await direct.stats())["store"]
+                    reads.append(ledger["logical_reads"])
+                    writes.append(ledger["backend_writes"])
+                assert all(a < b for a, b in zip(reads, reads[1:])), reads
+                assert writes == sorted(writes) and writes[0] > 0, writes
+
+        run(scenario())
 
 
 # ---------------------------------------------------------------------------

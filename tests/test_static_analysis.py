@@ -365,6 +365,36 @@ class TestPathScoping:
     def test_storage_allowlist_exempt(self):
         assert codes(self.ALIAS, "src/repro/storage/wal.py") == []
 
+    def test_rep108_in_replica_module(self):
+        # A direct index mutation in follower code is REP108 (and, being
+        # server code, REP106) under analyze, as under lint.
+        source = "def f(index):\n    index.insert((1, 2), 3)\n"
+        assert codes(source, "src/repro/server/replica.py") == [
+            "REP106", "REP108",
+        ]
+        for call in ("store.allocate(page)", "store.write(pid, page)"):
+            found = codes(f"def f(store):\n    {call}\n",
+                          "src/repro/server/replica.py")
+            assert "REP108" in found, call
+
+    def test_rep108_scoped_to_replica_module(self):
+        source = "def f(store):\n    store.allocate({})\n"
+        assert codes(source, "src/repro/server/replica.py") == ["REP108"]
+        assert codes(source, "src/repro/server/session.py") == []
+        assert codes(source, "src/repro/server/replica.py".replace(
+            "/", "\\")) == ["REP108"]
+
+    def test_rep107_in_server_code(self):
+        source = (
+            "import json\n\n"
+            "def f(x: object) -> str:\n"
+            "    return json.dumps(x)\n"
+        )
+        assert codes(source, "src/repro/server/session.py") == ["REP107"]
+        # The allow-listed codec and code outside server/ stay clean.
+        assert codes(source, "src/repro/server/binpayload.py") == []
+        assert codes(source, "src/repro/core/mod.py") == []
+
     def test_windows_style_core_path(self, tmp_path):
         # lint_paths' annotation scoping has a branch for
         # backslash-separated paths; a literal 'repro\\core\\mod.py'
